@@ -10,9 +10,13 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# The repo benchmark (see BENCHMARK.json); records land in the
+# git-ignored perfbench/out/, never in committed files.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only \
-		--benchmark-json BENCH_PR9.json
+	for workload in suite gcc_sweep design_space; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 35 || exit 1; \
+	done
 
 figures:
 	$(PYTHON) -m repro figures

@@ -1,17 +1,14 @@
-"""The clustering stage of the gcc sweep: kernels, fan-out, reuse.
+"""The clustering stage of the gcc sweep: fan-out and reuse.
 
 Stages re-cluster gcc's FLI profile under several ``max_k`` budgets —
 exactly the work :func:`repro.experiments.sweeps.sweep_max_k` redoes
 per cell — through each acceleration in turn:
 
-1. reference kernel, serial, uncached (the pre-engine baseline),
-2. Hamerly-pruned kernel (bit-identical; records the distance-row
-   saving, which at 15 projected dimensions outruns the wall-clock
-   saving because the GEMM it avoids is cheap),
-3. pruned kernel + parallel restart fan-out (bit-identical),
-4. cold content-keyed cache (pays compute, primes the cache),
-5. warm cache (reuse ratio 1.0; the PR's acceptance criterion —
-   the clustering stage at least 2x faster than the reference run).
+1. serial, uncached (the baseline),
+2. parallel restart fan-out (bit-identical),
+3. cold content-keyed cache (pays compute, primes the cache),
+4. warm cache (reuse ratio 1.0; the acceptance criterion — the
+   clustering stage at least 2x faster than the reference run).
 
 Execution order matters (stages share state through the module-level
 ``RESULTS`` dict); pytest-benchmark runs tests in file order, and each
@@ -75,21 +72,17 @@ def _pickled(choices):
     return [pickle.dumps(choice) for choice in choices]
 
 
-def _timed_stage(points, weights, *, use_pruned, jobs, cache=None):
+def _timed_stage(points, weights, *, jobs, cache=None):
     """Re-cluster under every budget; (choices, seconds, counters)."""
     with metrics.scoped_registry() as local:
         start = time.perf_counter()
         choices = [
             cached_choose_clustering(
-                points, weights, max_k=budget, use_pruned=use_pruned,
-                jobs=jobs, cache=cache,
+                points, weights, max_k=budget, jobs=jobs, cache=cache,
                 use_clustering_cache=cache is not None,
             )
             if cache is not None
-            else choose_clustering(
-                points, weights, max_k=budget, use_pruned=use_pruned,
-                jobs=jobs,
-            )
+            else choose_clustering(points, weights, max_k=budget, jobs=jobs)
             for budget in BUDGETS
         ]
         elapsed = time.perf_counter() - start
@@ -97,61 +90,25 @@ def _timed_stage(points, weights, *, use_pruned, jobs, cache=None):
 
 
 def test_perf_clustering_reference(benchmark, gcc_profile):
-    """Baseline: the reference Lloyd kernel, serial, no cache."""
+    """Baseline: the Lloyd kernel, serial, no cache."""
     points, weights = gcc_profile
     choices, elapsed, counters = run_once(
-        benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=False, jobs=1),
+        benchmark, lambda: _timed_stage(points, weights, jobs=1)
     )
-    assert "simpoint.kmeans_pruned_points" not in counters
     benchmark.extra_info["distance_rows"] = counters[
         "simpoint.kmeans_distance_rows"
     ]
     RESULTS["reference"] = (choices, elapsed, counters)
 
 
-def test_perf_clustering_pruned(benchmark, gcc_profile):
-    """Pruned kernel: bit-identical, fewer distance rows."""
-    if "reference" not in RESULTS:
-        pytest.skip("needs the reference stage first")
-    points, weights = gcc_profile
-    choices, elapsed, counters = run_once(
-        benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=1),
-    )
-    ref_choices, ref_elapsed, ref_counters = RESULTS["reference"]
-    assert _pickled(choices) == _pickled(ref_choices)
-    assert counters["simpoint.kmeans_pruned_points"] > 0
-    assert (
-        counters["simpoint.kmeans_distance_rows"]
-        < ref_counters["simpoint.kmeans_distance_rows"]
-    )
-    benchmark.extra_info["pruned_points"] = counters[
-        "simpoint.kmeans_pruned_points"
-    ]
-    benchmark.extra_info["distance_rows"] = counters[
-        "simpoint.kmeans_distance_rows"
-    ]
-    benchmark.extra_info["row_saving"] = round(
-        1
-        - counters["simpoint.kmeans_distance_rows"]
-        / ref_counters["simpoint.kmeans_distance_rows"],
-        3,
-    )
-    benchmark.extra_info["speedup_vs_reference"] = round(
-        ref_elapsed / elapsed, 2
-    )
-    RESULTS["pruned"] = (choices, elapsed)
-
-
 def test_perf_clustering_parallel(benchmark, gcc_profile):
-    """Pruned kernel + restart fan-out: still bit-identical."""
+    """Restart fan-out: still bit-identical."""
     if "reference" not in RESULTS:
         pytest.skip("needs the reference stage first")
     points, weights = gcc_profile
     choices, elapsed, _ = run_once(
         benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=4),
+        lambda: _timed_stage(points, weights, jobs=4),
     )
     ref_choices, ref_elapsed, _ = RESULTS["reference"]
     assert _pickled(choices) == _pickled(ref_choices)
@@ -170,8 +127,7 @@ def test_perf_clustering_cold_cache(benchmark, gcc_profile,
     cache = ProfileCache(shared_cache_dir)
     choices, elapsed, counters = run_once(
         benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=1,
-                             cache=cache),
+        lambda: _timed_stage(points, weights, jobs=1, cache=cache),
     )
     ref_choices, _, _ = RESULTS["reference"]
     assert _pickled(choices) == _pickled(ref_choices)
@@ -189,8 +145,7 @@ def test_perf_clustering_warm_cache(benchmark, gcc_profile,
     cache = ProfileCache(shared_cache_dir)
     choices, elapsed, counters = run_once(
         benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=1,
-                             cache=cache),
+        lambda: _timed_stage(points, weights, jobs=1, cache=cache),
     )
     ref_choices, ref_elapsed, _ = RESULTS["reference"]
     assert _pickled(choices) == _pickled(ref_choices)

@@ -13,13 +13,15 @@ This package exploits that twice:
   deterministic (input-order) results and a serial fallback
   (``REPRO_JOBS=1`` or any environment where pools are unavailable).
 
-:mod:`repro.runtime.config` holds the process-wide defaults that the
-CLI flags (``--jobs``, ``--cache-dir``, ``--no-cache``) and the
+:mod:`repro.runtime.config` holds the process-wide defaults: the
 ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` environment
-variables configure. Cached and parallel runs are bit-identical to
-serial uncached runs: the cache stores exactly what the profilers
-return, and the pool only changes *where* each deterministic profile is
-computed, never in what order results are consumed.
+variables, and the CLI flags (``--jobs``, ``--cache-dir``,
+``--no-cache``) that the CLI installs through
+:func:`~repro.runtime.config.runtime_session`. Cached and parallel
+runs are bit-identical to serial uncached runs: the cache stores
+exactly what the profilers return, and the pool only changes *where*
+each deterministic profile is computed, never in what order results
+are consumed.
 """
 
 from repro.runtime.cache import (
@@ -31,14 +33,9 @@ from repro.runtime.cache import (
 from repro.runtime.config import (
     active_cache,
     clustering_cache_enabled,
-    configure,
-    pruned_kmeans_enabled,
     resolve_jobs,
     runtime_session,
     set_cache,
-    set_clustering_cache,
-    set_jobs,
-    set_sim_cache,
     sim_cache_enabled,
 )
 from repro.runtime.fingerprint import fingerprint
@@ -51,15 +48,10 @@ __all__ = [
     "active_cache",
     "cache_from_root",
     "clustering_cache_enabled",
-    "configure",
     "fingerprint",
     "parallel_map",
-    "pruned_kmeans_enabled",
     "resolve_jobs",
     "runtime_session",
     "set_cache",
-    "set_clustering_cache",
-    "set_jobs",
-    "set_sim_cache",
     "sim_cache_enabled",
 ]

@@ -4,8 +4,8 @@ Resolution order for the job count (first match wins):
 
 1. an explicit ``jobs=`` argument at the call site;
 2. the ``REPRO_JOBS`` environment variable (``1`` forces serial);
-3. a process default installed by :func:`set_jobs` (the CLI's
-   ``--jobs`` flag lands here);
+3. a process default installed by :func:`runtime_session` (the CLI
+   opens one session per command, carrying its ``--jobs`` flag);
 4. serial (``1``) — library calls never fan out unless asked to.
 
 The active cache is ``None`` (disabled) unless :func:`set_cache`
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from repro.errors import CacheError
 from repro.runtime.cache import ProfileCache
@@ -35,14 +35,6 @@ _cache: object = _UNSET  # _UNSET -> fall back to the environment
 _default_match_confidence: Optional[float] = None
 _default_sim_cache: Optional[bool] = None
 _default_clustering_cache: Optional[bool] = None
-
-
-def set_jobs(jobs: Optional[int]) -> None:
-    """Install (or clear, with ``None``) the process default job count."""
-    global _default_jobs
-    if jobs is not None and jobs < 1:
-        raise CacheError(f"jobs must be >= 1, got {jobs}")
-    _default_jobs = jobs
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -76,8 +68,9 @@ def resolve_match_confidence(threshold: Optional[float] = None) -> float:
     """The effective fuzzy-match confidence threshold.
 
     Resolution order: explicit argument, ``REPRO_MATCH_CONFIDENCE``,
-    process default from :func:`set_match_confidence` (the CLI's
-    ``--match-confidence`` flag lands here), then ``1.0`` — exact
+    process default from :func:`set_match_confidence` or
+    :func:`runtime_session` (where the CLI passes its
+    ``--match-confidence`` flag), then ``1.0`` — exact
     matching only, bit-identical to the matcher without the fuzzy
     fallback.
     """
@@ -123,18 +116,12 @@ def active_cache() -> Optional[ProfileCache]:
     return None
 
 
-def set_sim_cache(enabled: Optional[bool]) -> None:
-    """Install (or clear, with ``None``) the sim-result reuse default."""
-    global _default_sim_cache
-    _default_sim_cache = None if enabled is None else bool(enabled)
-
-
 def sim_cache_enabled(enabled: Optional[bool] = None) -> bool:
     """Whether detailed-simulation results may be reused from the cache.
 
     Resolution order: explicit argument, ``REPRO_NO_SIM_CACHE`` (set →
-    disabled), process default from :func:`set_sim_cache` (the CLI's
-    ``--no-sim-cache`` flag lands here), then enabled. Reuse also
+    disabled), process default from :func:`runtime_session` (where the
+    CLI passes its ``--no-sim-cache`` flag), then enabled. Reuse also
     requires an active profile cache — this knob only gates the
     ``"simresult"`` kind, so profiling caches keep working when it is
     off (results are bit-identical either way).
@@ -148,18 +135,12 @@ def sim_cache_enabled(enabled: Optional[bool] = None) -> bool:
     return True
 
 
-def set_clustering_cache(enabled: Optional[bool]) -> None:
-    """Install (or clear, with ``None``) the clustering reuse default."""
-    global _default_clustering_cache
-    _default_clustering_cache = None if enabled is None else bool(enabled)
-
-
 def clustering_cache_enabled(enabled: Optional[bool] = None) -> bool:
     """Whether chosen clusterings may be reused from the cache.
 
     Resolution order: explicit argument, ``REPRO_NO_CLUSTERING_CACHE``
-    (set → disabled), process default from :func:`set_clustering_cache`
-    (the CLI's ``--no-clustering-cache`` flag lands here), then
+    (set → disabled), process default from :func:`runtime_session`
+    (where the CLI passes its ``--no-clustering-cache`` flag), then
     enabled. Reuse also requires an active profile cache — this knob
     only gates the ``"clustering"`` kind, so profiling caches keep
     working when it is off (results are bit-identical either way).
@@ -173,19 +154,6 @@ def clustering_cache_enabled(enabled: Optional[bool] = None) -> bool:
     return True
 
 
-def pruned_kmeans_enabled(use_pruned: Optional[bool] = None) -> bool:
-    """Whether the Lloyd iteration should use the Hamerly-pruned kernel.
-
-    An explicit ``use_pruned`` argument wins; otherwise pruning is on
-    unless ``REPRO_NO_PRUNED_KMEANS`` is set in the environment
-    (results are bit-identical either way — the knob exists for
-    debugging and for timing the reference kernel).
-    """
-    if use_pruned is not None:
-        return use_pruned
-    return not os.environ.get("REPRO_NO_PRUNED_KMEANS")
-
-
 def trace_replay_enabled(use_trace: Optional[bool] = None) -> bool:
     """Whether a profiling consumer should replay a compiled trace.
 
@@ -197,27 +165,6 @@ def trace_replay_enabled(use_trace: Optional[bool] = None) -> bool:
     return not os.environ.get("REPRO_NO_TRACE")
 
 
-def configure(
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
-    no_cache: bool = False,
-    match_confidence: Optional[float] = None,
-    no_sim_cache: bool = False,
-    no_clustering_cache: bool = False,
-) -> Optional[ProfileCache]:
-    """One-shot setup used by the CLI; returns the installed cache."""
-    set_jobs(jobs)
-    set_match_confidence(match_confidence)
-    set_sim_cache(False if no_sim_cache else None)
-    set_clustering_cache(False if no_clustering_cache else None)
-    if no_cache:
-        set_cache(None)
-        return None
-    if cache_dir is not None:
-        set_cache(ProfileCache(cache_dir))
-    return active_cache()
-
-
 @contextmanager
 def runtime_session(
     jobs: Optional[int] = None,
@@ -226,7 +173,13 @@ def runtime_session(
     sim_cache: Optional[bool] = None,
     clustering_cache: Optional[bool] = None,
 ) -> Iterator[None]:
-    """Temporarily install runtime defaults (tests use this)."""
+    """Temporarily install runtime defaults.
+
+    The CLI runs every command inside one session built from its
+    ``--jobs``/``--cache-dir``/``--no-cache``/``--no-sim-cache``/
+    ``--no-clustering-cache``/``--match-confidence`` flags; tests and
+    library callers use it the same way.
+    """
     global _cache, _default_jobs, _default_match_confidence
     global _default_sim_cache, _default_clustering_cache
     saved = (

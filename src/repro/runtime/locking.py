@@ -1,7 +1,6 @@
 """Advisory file locks and atomic line appends.
 
-The append-only stores in this codebase — the run ledger and the
-job-queue submission spool — are plain JSONL files shared by
+The append-only run ledger is a plain JSONL file shared by
 concurrent writer processes. POSIX guarantees that a *single*
 ``write(2)`` through an ``O_APPEND`` descriptor lands contiguously for
 ordinary files, but ``open("a")`` + buffered writes can split one

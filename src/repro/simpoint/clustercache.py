@@ -4,8 +4,8 @@ With profiling compiled (PR 4) and detailed simulation content-keyed
 (PR 8), the `choose_clustering` sweep — k-means at every probed k,
 restarted ``n_init`` times — is the dominant recomputed cost whenever
 the same profile is clustered again: repeated sweeps, selector
-comparisons, and ``--via-jobs`` reruns all cluster identical projected
-BBVs with identical knobs. This module keys the whole
+comparisons, and resumed runs all cluster identical projected BBVs
+with identical knobs. This module keys the whole
 :class:`~repro.simpoint.select.ClusteringChoice` by *content* and
 stores it as a dedicated :data:`CLUSTERING_KIND` kind in the
 :class:`~repro.runtime.cache.ProfileCache`.
@@ -15,10 +15,10 @@ BBV matrix and interval weights (by shape, dtype, and content digest —
 projection dimensions and seed are therefore covered through the
 matrix itself), the k budget, the BIC threshold, ``n_init`` /
 ``max_iter`` / seed, and the search strategy. The format-version salt
-is applied by the cache on every key. ``jobs`` and ``use_pruned`` are
-deliberately *not* part of the key: pruned/reference and
-parallel/serial paths are bit-identical (the equivalence tests enforce
-it), so any of them may satisfy another's lookup.
+is applied by the cache on every key. ``jobs`` is deliberately *not*
+part of the key: the parallel and serial paths are bit-identical (the
+equivalence tests enforce it), so either may satisfy the other's
+lookup.
 
 Reuse is on whenever a profile cache is active and can be vetoed per
 call (``use_clustering_cache=False``), per process
@@ -105,7 +105,6 @@ def cached_choose_clustering(
     max_iter: int = 100,
     seed: int = 0,
     k_search: str = "exhaustive",
-    use_pruned: Optional[bool] = None,
     jobs: Optional[int] = None,
     cache: Optional[ProfileCache] = None,
     use_clustering_cache: Optional[bool] = None,
@@ -137,7 +136,6 @@ def cached_choose_clustering(
             n_init=n_init,
             max_iter=max_iter,
             seed=seed,
-            use_pruned=use_pruned,
             jobs=jobs,
         )
 

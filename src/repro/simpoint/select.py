@@ -58,14 +58,13 @@ def _cluster_and_score(
     n_init: int,
     max_iter: int,
     seed: int,
-    use_pruned: Optional[bool] = None,
     jobs: Optional[int] = None,
     point_norms: Optional[np.ndarray] = None,
 ) -> Tuple[KMeansResult, float]:
     """One instrumented clustering: k-means at ``k`` plus its BIC."""
     result = weighted_kmeans(
         points, k, weights, n_init=n_init, max_iter=max_iter,
-        seed=seed + k, use_pruned=use_pruned, jobs=jobs,
+        seed=seed + k, jobs=jobs,
         point_norms=point_norms,
     )
     score = _score_and_record(points, weights, k, result)
@@ -91,7 +90,6 @@ def choose_clustering(
     max_iter: int = 100,
     seed: int = 0,
     *,
-    use_pruned: Optional[bool] = None,
     jobs: Optional[int] = None,
 ) -> ClusteringChoice:
     """Cluster for k = 1..max_k and pick by the SimPoint BIC rule.
@@ -130,7 +128,7 @@ def choose_clustering(
         for k in range(2, k_max + 1):
             k_tasks = restart_tasks(
                 points, weights, k, n_init, max_iter, seed + k,
-                use_pruned, point_norms,
+                point_norms,
             )
             spans.append((len(tasks), len(tasks) + len(k_tasks)))
             tasks.extend(k_tasks)
@@ -168,7 +166,6 @@ def choose_clustering_binary_search(
     max_iter: int = 100,
     seed: int = 0,
     *,
-    use_pruned: Optional[bool] = None,
     jobs: Optional[int] = None,
 ) -> ClusteringChoice:
     """SimPoint 3.0's binary search over k.
@@ -203,7 +200,7 @@ def choose_clustering_binary_search(
         if k not in evaluated:
             evaluated[k] = _cluster_and_score(
                 points, weights, k, n_init, max_iter, seed,
-                use_pruned, jobs, point_norms,
+                jobs, point_norms,
             )
         return evaluated[k][1]
 

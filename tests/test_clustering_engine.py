@@ -1,19 +1,17 @@
-"""The accelerated clustering engine: pruning, fan-out, and reuse.
+"""The accelerated clustering engine: fan-out and reuse.
 
-Three independent accelerations ride under ``weighted_kmeans`` /
-``choose_clustering`` and all of them promise *bit-identical* results
-to the plain serial reference kernel:
+Two independent accelerations ride under ``weighted_kmeans`` /
+``choose_clustering`` and both promise *bit-identical* results to the
+plain serial Lloyd kernel:
 
-- Hamerly-style bound pruning (``use_pruned``, default on),
 - parallel restart fan-out (``jobs``), and
 - content-keyed clustering reuse (the ``"clustering"`` cache kind).
 
 This suite enforces the promise with hypothesis-driven equivalence
-checks on tie-heavy integer grids (where a sloppy pruning margin or a
-nondeterministic reduction would surface first), exercises the
-empty-cluster repair path explicitly, and covers the cache key schema,
-the escape hatches, and the observability surface in the style of
-``tests/test_simcache.py``.
+checks on tie-heavy integer grids (where a nondeterministic reduction
+would surface first), exercises the empty-cluster repair path
+explicitly, and covers the cache key schema, the escape hatches, and
+the observability surface in the style of ``tests/test_simcache.py``.
 """
 
 import pickle
@@ -23,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ClusteringError
-from repro.jobs.receipts import JobReceipt
 from repro.observability import metrics
 from repro.observability.diff import (
     DriftThresholds,
@@ -42,7 +39,6 @@ from repro.simpoint.clustercache import (
 )
 from repro.simpoint.kmeans import (
     _lloyd,
-    _lloyd_pruned,
     _point_norms,
     weighted_kmeans,
 )
@@ -57,7 +53,7 @@ _SETTINGS = settings(deadline=None, max_examples=40)
 
 #: Tie-heavy inputs: small integer grids force duplicate points,
 #: equidistant centroid choices, and zero-distance draws in k-means++ —
-#: exactly where pruning margins and argmin tie-breaks could diverge.
+#: exactly where argmin tie-breaks could diverge.
 _grid_points = st.builds(
     lambda rows, seed: np.asarray(rows, dtype=np.float64)
     if rows
@@ -88,49 +84,10 @@ def _assert_same_choice(a, b):
     _assert_same_result(a.result, b.result)
 
 
-class TestPrunedEquivalence:
-    @_SETTINGS
-    @given(
-        points=_grid_points,
-        k=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=3),
-        weighted=st.booleans(),
-    )
-    def test_pruned_matches_reference(self, points, k, seed, weighted):
-        k = min(k, points.shape[0])
-        weights = None
-        if weighted:
-            rng = np.random.default_rng(seed)
-            weights = rng.integers(1, 6, size=points.shape[0]).astype(
-                np.float64
-            )
-        reference = weighted_kmeans(
-            points, k, weights, n_init=2, seed=seed, use_pruned=False
-        )
-        pruned = weighted_kmeans(
-            points, k, weights, n_init=2, seed=seed, use_pruned=True
-        )
-        _assert_same_result(reference, pruned)
-
-    def test_duplicate_points_and_exact_ties(self):
-        # Every point duplicated; centroids land exactly on points, so
-        # distances tie at 0 and the stale-test margin must force a
-        # recompute rather than trust a stale bound.
-        points = np.repeat(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0
-        )
-        for k in (1, 2, 3):
-            reference = weighted_kmeans(
-                points, k, n_init=3, seed=5, use_pruned=False
-            )
-            pruned = weighted_kmeans(
-                points, k, n_init=3, seed=5, use_pruned=True
-            )
-            _assert_same_result(reference, pruned)
-
+class TestLloydKernel:
     def test_empty_cluster_repair_path(self):
         # Two far-apart duplicate piles and k=3: one centroid must go
-        # empty mid-iteration and be repaired. Drive the kernels
+        # empty mid-iteration and be repaired. Drive the kernel
         # directly so the repair branch is exercised no matter what
         # k-means++ would have seeded.
         points = np.array(
@@ -142,32 +99,9 @@ class TestPrunedEquivalence:
         init = np.array(
             [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], dtype=np.float64
         )
-        norms = _point_norms(points)
-        reference = _lloyd(points, weights, init.copy(), 100,
-                           point_norms=norms)
-        pruned = _lloyd_pruned(points, weights, init.copy(), 100,
-                               point_norms=norms)
-        _assert_same_result(reference, pruned)
-        assert set(np.unique(reference.labels)) == {0, 1, 2}
-
-    def test_pruning_counters_tick(self):
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(200, 8))
-        with metrics.scoped_registry() as local:
-            weighted_kmeans(points, 6, n_init=2, seed=1, use_pruned=True)
-        counters = local.snapshot()["counters"]
-        assert counters["simpoint.kmeans_pruned_points"] > 0
-        assert counters["simpoint.kmeans_distance_rows"] > 0
-
-    def test_env_hatch_disables_pruning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PRUNED_KMEANS", "1")
-        rng = np.random.default_rng(3)
-        points = rng.normal(size=(60, 4))
-        with metrics.scoped_registry() as local:
-            weighted_kmeans(points, 4, n_init=2, seed=2)
-        counters = local.snapshot()["counters"]
-        assert "simpoint.kmeans_pruned_points" not in counters
-
+        result = _lloyd(points, weights, init.copy(), 100,
+                        point_norms=_point_norms(points))
+        assert set(np.unique(result.labels)) == {0, 1, 2}
 
 class TestParallelEquivalence:
     @_SETTINGS
@@ -192,18 +126,17 @@ class TestParallelEquivalence:
                                    seed=9, jobs=4)
         _assert_same_choice(serial, fanned)
 
-    def test_binary_search_pruned_matches_reference(self):
+    def test_binary_search_parallel_matches_serial(self):
         rng = np.random.default_rng(31)
         points = rng.normal(size=(50, 4))
         weights = np.ones(50)
-        reference = choose_clustering_binary_search(
-            points, weights, max_k=8, n_init=2, seed=4, use_pruned=False
+        serial = choose_clustering_binary_search(
+            points, weights, max_k=8, n_init=2, seed=4, jobs=1
         )
-        pruned = choose_clustering_binary_search(
-            points, weights, max_k=8, n_init=2, seed=4, use_pruned=True,
-            jobs=2,
+        fanned = choose_clustering_binary_search(
+            points, weights, max_k=8, n_init=2, seed=4, jobs=2
         )
-        _assert_same_choice(reference, pruned)
+        _assert_same_choice(serial, fanned)
 
 
 class TestKeySchema:
@@ -249,19 +182,15 @@ class TestKeySchema:
         assert fingerprint(base) not in digests
         assert len(digests) == len(variants)
 
-    def test_jobs_and_pruning_are_not_part_of_the_key(self, tmp_path):
-        # Bit-identity makes any kernel/fan-out combination a valid
-        # answer for any other, so the key deliberately omits both.
+    def test_jobs_is_not_part_of_the_key(self, tmp_path):
+        # Bit-identity makes a fanned-out answer valid for a serial
+        # lookup, so the key deliberately omits the job count.
         points, weights = self._points()
         cache = ProfileCache(tmp_path)
         kwargs = dict(max_k=4, n_init=2, cache=cache)
-        pruned = cached_choose_clustering(
-            points, weights, use_pruned=True, jobs=4, **kwargs
-        )
-        reference = cached_choose_clustering(
-            points, weights, use_pruned=False, jobs=1, **kwargs
-        )
-        assert pickle.dumps(pruned) == pickle.dumps(reference)
+        fanned = cached_choose_clustering(points, weights, jobs=4, **kwargs)
+        serial = cached_choose_clustering(points, weights, jobs=1, **kwargs)
+        assert pickle.dumps(fanned) == pickle.dumps(serial)
         row = cache.stats.by_kind[CLUSTERING_KIND]
         assert (row.hits, row.misses) == (1, 1)
 
@@ -398,15 +327,3 @@ class TestObservabilitySurface:
             "clustering reuse: 1 of 2 clustering lookups (50.0%)"
             in rendered
         )
-
-    def test_receipt_roundtrips_clustering_tallies(self):
-        receipt = JobReceipt(
-            job_id="job-1", kind="benchmark", status="ok", attempt=1,
-            clustering_cache={"hits": 2, "misses": 1},
-        )
-        loaded = JobReceipt.from_record(receipt.to_record())
-        assert loaded.clustering_cache == {"hits": 2, "misses": 1}
-        # Receipts written before the field existed still load.
-        record = receipt.to_record()
-        del record["clustering_cache"]
-        assert JobReceipt.from_record(record).clustering_cache == {}

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import FileFormatError
 from repro.observability import (
     MANIFEST_SCHEMA,
@@ -435,6 +436,17 @@ class TestInspectCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1  # one line, not a traceback
         assert "repro.manifest/v99" in err and MANIFEST_SCHEMA in err
+
+    def test_inspect_json_roundtrips_manifest(self, tmp_path, capsys):
+        manifest = build_manifest(
+            total_seconds=1.0, stages={"profile": 1.0},
+            metrics_snapshot={}, clusterings={}, errors={},
+            config_fingerprint="abc123", command=["summary"],
+        )
+        path = write_manifest(tmp_path / "manifest.json", manifest)
+        assert main(["inspect", str(path), "--json"]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        assert emitted == json.loads(json.dumps(manifest))
 
     def test_inspect_renders_empty_sections(self):
         manifest = build_manifest(

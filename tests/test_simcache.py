@@ -2,13 +2,20 @@
 
 Covers the key schema (stability and sensitivity), full-run and
 per-region reuse with bit-identity against the uncached path, the
-escape hatches, sweep-level reuse on both the direct and ``--via-jobs``
-paths, and the observability surface (manifest sim block, ledger
-flattening, drift gate).
+escape hatches, sweep-level reuse (warm re-runs and resuming a sweep
+killed mid-run), and the observability surface (manifest sim block,
+ledger flattening, drift gate).
 """
 
 import dataclasses
+import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +34,6 @@ from repro.core.vli import collect_vli_bbvs
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentConfig, clear_cache
 from repro.experiments.sweeps import sweep_interval_sizes
-from repro.jobs import JobQueue, ensure_default_executors
 from repro.observability import metrics
 from repro.observability.diff import (
     DriftThresholds,
@@ -48,6 +54,50 @@ from tests.conftest import MICRO_INTERVAL
 _FAST_CONFIG = ExperimentConfig(
     interval_size=40_000, simpoint=SimPointConfig(max_k=3, n_init=2)
 )
+
+#: One serial art sweep in a fresh interpreter; argv: cache dir, output
+#: stem. Writes ``<stem>.pkl`` (the pickled tables) and ``<stem>.json``
+#: (the run's metric counters).
+_SWEEP_SCRIPT = """
+import json
+import pickle
+import sys
+
+from repro.experiments.runner import ExperimentConfig
+from repro.experiments.sweeps import sweep_interval_sizes
+from repro.observability import metrics
+from repro.runtime import ProfileCache, runtime_session
+from repro.simpoint.simpoint import SimPointConfig
+
+cache_dir, stem = sys.argv[1:]
+config = ExperimentConfig(
+    interval_size=40_000, simpoint=SimPointConfig(max_k=3, n_init=2)
+)
+with runtime_session(cache=ProfileCache(cache_dir)):
+    with metrics.scoped_registry() as registry:
+        tables = sweep_interval_sizes(
+            "art", [30_000, 60_000], config, jobs=1
+        )
+with open(stem + ".pkl", "wb") as handle:
+    pickle.dump(tables, handle)
+with open(stem + ".json", "w") as handle:
+    json.dump(registry.snapshot()["counters"], handle)
+"""
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _start_sweep(cache_dir, stem):
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("REPRO_")
+    }
+    env["PYTHONPATH"] = _SRC
+    return subprocess.Popen(
+        [sys.executable, "-c", _SWEEP_SCRIPT, str(cache_dir), str(stem)],
+        env=env,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -304,37 +354,33 @@ class TestSweepReuse:
             == cold_counters["cache.sim.misses"]
         )
 
-    def test_via_jobs_sweep_reuses_and_receipts_count_hits(self,
-                                                           tmp_path):
-        sizes = [30_000, 60_000]
-        ensure_default_executors()
-        cache = ProfileCache(tmp_path / "cache")
-        queue = JobQueue(tmp_path / "q")
-        with runtime_session(cache=cache):
-            clear_cache()
-            direct = sweep_interval_sizes(
-                "art", sizes, _FAST_CONFIG, jobs=1
-            )
-            clear_cache()
-            with metrics.scoped_registry() as local:
-                via_jobs = sweep_interval_sizes(
-                    "art", sizes, _FAST_CONFIG, jobs=2, via_jobs=queue
-                )
-        clear_cache()
-        assert via_jobs == direct  # bit-identical tables, warm or not
-        receipts = queue.receipts()
-        assert receipts and all(receipt.ok for receipt in receipts)
-        hits = sum(
-            receipt.sim_cache.get("hits", 0) for receipt in receipts
-        )
-        misses = sum(
-            receipt.sim_cache.get("misses", 0) for receipt in receipts
-        )
-        assert hits > 0 and misses == 0  # the direct pass primed it all
-        counters = local.snapshot()["counters"]
-        # record_job_metrics folds receipt tallies into the parent's
-        # counters exactly once.
-        assert counters["cache.sim.hits"] == hits
+    def test_killed_sweep_resumes_from_the_cache(self, tmp_path):
+        """A sweep SIGKILLed mid-run and re-run on the same cache dir
+        reuses the detailed simulations it stored before dying, and its
+        tables are byte-identical to a fresh run in an empty dir."""
+        cache_dir = tmp_path / "cache"
+        simresults = cache_dir / SIMRESULT_KIND
+        killed = _start_sweep(cache_dir, tmp_path / "killed")
+        try:
+            deadline = time.monotonic() + 300
+            while not any(simresults.glob("*/*.pkl")):
+                assert killed.poll() is None, "sweep ended before the kill"
+                assert time.monotonic() < deadline, "no simulation stored"
+                time.sleep(0.02)
+        finally:
+            killed.kill()
+        assert killed.wait(timeout=60) == -signal.SIGKILL
+        assert not (tmp_path / "killed.pkl").exists()
+
+        resumed = _start_sweep(cache_dir, tmp_path / "resumed")
+        assert resumed.wait(timeout=600) == 0
+        fresh = _start_sweep(tmp_path / "fresh-cache", tmp_path / "fresh")
+        assert fresh.wait(timeout=600) == 0
+        tables = (tmp_path / "resumed.pkl").read_bytes()
+        assert tables == (tmp_path / "fresh.pkl").read_bytes()
+        counters = json.loads((tmp_path / "resumed.json").read_text())
+        assert counters.get("cache.simresult.hits", 0) > 0
+        assert counters.get("cache.simresult.misses", 0) > 0
 
 
 class TestObservabilitySurface:
