@@ -1,13 +1,12 @@
-"""The clustering stage of the gcc sweep: fan-out and reuse.
+"""The clustering stage of the gcc sweep: reuse.
 
 Stages re-cluster gcc's FLI profile under several ``max_k`` budgets —
 exactly the work :func:`repro.experiments.sweeps.sweep_max_k` redoes
-per cell — through each acceleration in turn:
+per cell:
 
-1. serial, uncached (the baseline),
-2. parallel restart fan-out (bit-identical),
-3. cold content-keyed cache (pays compute, primes the cache),
-4. warm cache (reuse ratio 1.0; the acceptance criterion — the
+1. uncached (the baseline),
+2. cold content-keyed cache (pays compute, primes the cache),
+3. warm cache (reuse ratio 1.0; the acceptance criterion — the
    clustering stage at least 2x faster than the reference run).
 
 Execution order matters (stages share state through the module-level
@@ -63,8 +62,7 @@ def shared_cache_dir(tmp_path_factory):
 def _pickled(choices):
     """Per-choice pickles for bit-identity checks.
 
-    Choices that crossed a process pool or the cache are unpickled
-    copies: equal in content, but a *list* of them pickles differently
+    Choices that crossed the cache are unpickled copies: equal in content, but a *list* of them pickles differently
     than freshly computed ones (the serial list shares interned
     dict-key strings, which pickle memoizes). Per-choice pickles are
     free of that aliasing and compare the actual payload.
@@ -72,17 +70,16 @@ def _pickled(choices):
     return [pickle.dumps(choice) for choice in choices]
 
 
-def _timed_stage(points, weights, *, jobs, cache=None):
+def _timed_stage(points, weights, cache=None):
     """Re-cluster under every budget; (choices, seconds, counters)."""
     with metrics.scoped_registry() as local:
         start = time.perf_counter()
         choices = [
             cached_choose_clustering(
-                points, weights, max_k=budget, jobs=jobs, cache=cache,
-                use_clustering_cache=cache is not None,
+                points, weights, max_k=budget, cache=cache
             )
             if cache is not None
-            else choose_clustering(points, weights, max_k=budget, jobs=jobs)
+            else choose_clustering(points, weights, max_k=budget)
             for budget in BUDGETS
         ]
         elapsed = time.perf_counter() - start
@@ -90,32 +87,15 @@ def _timed_stage(points, weights, *, jobs, cache=None):
 
 
 def test_perf_clustering_reference(benchmark, gcc_profile):
-    """Baseline: the Lloyd kernel, serial, no cache."""
+    """Baseline: the Lloyd kernel, no cache."""
     points, weights = gcc_profile
     choices, elapsed, counters = run_once(
-        benchmark, lambda: _timed_stage(points, weights, jobs=1)
+        benchmark, lambda: _timed_stage(points, weights)
     )
     benchmark.extra_info["distance_rows"] = counters[
         "simpoint.kmeans_distance_rows"
     ]
     RESULTS["reference"] = (choices, elapsed, counters)
-
-
-def test_perf_clustering_parallel(benchmark, gcc_profile):
-    """Restart fan-out: still bit-identical."""
-    if "reference" not in RESULTS:
-        pytest.skip("needs the reference stage first")
-    points, weights = gcc_profile
-    choices, elapsed, _ = run_once(
-        benchmark,
-        lambda: _timed_stage(points, weights, jobs=4),
-    )
-    ref_choices, ref_elapsed, _ = RESULTS["reference"]
-    assert _pickled(choices) == _pickled(ref_choices)
-    benchmark.extra_info["speedup_vs_reference"] = round(
-        ref_elapsed / elapsed, 2
-    )
-    RESULTS["parallel"] = (choices, elapsed)
 
 
 def test_perf_clustering_cold_cache(benchmark, gcc_profile,
@@ -127,7 +107,7 @@ def test_perf_clustering_cold_cache(benchmark, gcc_profile,
     cache = ProfileCache(shared_cache_dir)
     choices, elapsed, counters = run_once(
         benchmark,
-        lambda: _timed_stage(points, weights, jobs=1, cache=cache),
+        lambda: _timed_stage(points, weights, cache=cache),
     )
     ref_choices, _, _ = RESULTS["reference"]
     assert _pickled(choices) == _pickled(ref_choices)
@@ -145,7 +125,7 @@ def test_perf_clustering_warm_cache(benchmark, gcc_profile,
     cache = ProfileCache(shared_cache_dir)
     choices, elapsed, counters = run_once(
         benchmark,
-        lambda: _timed_stage(points, weights, jobs=1, cache=cache),
+        lambda: _timed_stage(points, weights, cache=cache),
     )
     ref_choices, ref_elapsed, _ = RESULTS["reference"]
     assert _pickled(choices) == _pickled(ref_choices)

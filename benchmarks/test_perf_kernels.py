@@ -20,6 +20,12 @@ from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.suite import build_benchmark
 from repro.simpoint.kmeans import weighted_kmeans
 
+from tests.oracles import (
+    scalar_fli_bbvs,
+    scalar_interval_instructions,
+    scalar_vli_bbvs,
+)
+
 
 @pytest.fixture(scope="module")
 def art_32u():
@@ -169,30 +175,27 @@ def test_perf_fli_replay(benchmark, art_32u):
 
 def test_perf_fli_scalar(benchmark, art_32u):
     """FLI cutting on the scalar oracle (one engine walk per call)."""
-    intervals = benchmark(
-        collect_fli_bbvs, art_32u, 100_000, use_trace=False
-    )
+    intervals = benchmark(scalar_fli_bbvs, art_32u, 100_000)
     assert len(intervals) > 10
 
 
-def _profile_end_to_end(binaries, marker_set, use_trace):
-    """FLI + VLI + re-measured weights for one binary pair."""
+def _profile_end_to_end(binaries, marker_set, replay):
+    """FLI + VLI + re-measured weights for one binary pair, replayed
+    from compiled traces or run on the scalar oracles."""
     from repro.core.mapping import interval_boundaries
     from repro.core.vli import collect_vli_bbvs
     from repro.core.weights import measure_interval_instructions
 
-    primary = binaries[0]
-    fli = collect_fli_bbvs(primary, 100_000, use_trace=use_trace)
-    vlis = collect_vli_bbvs(
-        primary, marker_set, 100_000, use_trace=use_trace
+    fli_bbvs, vli_bbvs, count = (
+        (collect_fli_bbvs, collect_vli_bbvs, measure_interval_instructions)
+        if replay
+        else (scalar_fli_bbvs, scalar_vli_bbvs, scalar_interval_instructions)
     )
+    primary = binaries[0]
+    fli = fli_bbvs(primary, 100_000)
+    vlis = vli_bbvs(primary, marker_set, 100_000)
     boundaries = interval_boundaries(vlis)
-    counts = [
-        measure_interval_instructions(
-            binary, marker_set, boundaries, use_trace=use_trace
-        )
-        for binary in binaries
-    ]
+    counts = [count(binary, marker_set, boundaries) for binary in binaries]
     return fli, vlis, counts
 
 

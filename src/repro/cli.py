@@ -43,13 +43,17 @@ by accepting confidence-scored fuzzy matches at or above ``T``.
 
 Caching
 -------
-Every command accepts ``--cache-dir``/``--no-cache`` for the on-disk
-profile cache, ``--no-sim-cache`` (env ``REPRO_NO_SIM_CACHE``) to
-disable content-keyed reuse of detailed-simulation results, and
-``--no-clustering-cache`` (env ``REPRO_NO_CLUSTERING_CACHE``) to
-disable content-keyed reuse of chosen clusterings, each while keeping
-profile caching. Neither kind of reuse ever changes results — outputs
-are bit-identical with the cache hot, cold, or disabled.
+Every command accepts ``--cache-dir`` (env ``REPRO_CACHE_DIR``) and
+``--no-cache`` (env ``REPRO_NO_CACHE``) for the on-disk cache of
+profiles, detailed-simulation results and chosen clusterings. Reuse
+never changes results — outputs are bit-identical with the cache hot,
+cold (a fresh ``--cache-dir``), or disabled.
+
+Runtime options
+---------------
+``--jobs``, ``--cache-dir``/``--no-cache`` and ``--match-confidence``
+win over their environment variables, which win over the defaults
+(all cores, ``~/.cache/repro``, exact matching).
 
 Observability
 -------------
@@ -459,21 +463,7 @@ def _add_runtime_flags(
     parser.add_argument(
         "--no-cache", action="store_true",
         default=argparse.SUPPRESS if suppress else False,
-        help="disable the on-disk profile cache",
-    )
-    parser.add_argument(
-        "--no-sim-cache", action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="disable content-keyed reuse of detailed-simulation "
-             "results (env REPRO_NO_SIM_CACHE); results are "
-             "bit-identical either way, only wall time changes",
-    )
-    parser.add_argument(
-        "--no-clustering-cache", action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="disable content-keyed reuse of chosen clusterings "
-             "(env REPRO_NO_CLUSTERING_CACHE); results are "
-             "bit-identical either way, only wall time changes",
+        help="disable the on-disk cache (env REPRO_NO_CACHE)",
     )
     parser.add_argument(
         "--match-confidence", type=float, default=default, metavar="T",
@@ -724,46 +714,39 @@ _COMMANDS = {
 
 
 def _resolve_runtime(args: argparse.Namespace):
-    """The CLI's effective (jobs, cache) from flags and environment."""
+    """The CLI's runtime options: flags over the environment over the
+    CLI defaults (all cores, ``~/.cache/repro``)."""
     import os
 
-    from repro.runtime import ProfileCache
+    from repro.runtime import ProfileCache, RuntimeOptions
+    from repro.runtime.config import UNSET
 
-    jobs = args.jobs
-    if jobs is None and not os.environ.get("REPRO_JOBS"):
-        jobs = os.cpu_count() or 1
-    no_sim_cache = args.no_sim_cache or bool(
-        os.environ.get("REPRO_NO_SIM_CACHE")
+    if args.no_cache:
+        cache = None
+    elif args.cache_dir:
+        cache = ProfileCache(args.cache_dir)
+    else:
+        cache = UNSET
+    defaults = RuntimeOptions(
+        jobs=os.cpu_count() or 1,
+        cache=ProfileCache(
+            os.path.join(os.path.expanduser("~"), ".cache", "repro")
+        ),
     )
-    sim_cache = False if no_sim_cache else None
-    no_clustering_cache = args.no_clustering_cache or bool(
-        os.environ.get("REPRO_NO_CLUSTERING_CACHE")
+    return RuntimeOptions.from_env(defaults).override(
+        jobs=args.jobs, cache=cache, match_confidence=args.match_confidence
     )
-    clustering_cache = False if no_clustering_cache else None
-    no_cache = args.no_cache or bool(os.environ.get("REPRO_NO_CACHE"))
-    if no_cache:
-        return jobs, None, sim_cache, clustering_cache
-    cache_dir = (
-        args.cache_dir
-        or os.environ.get("REPRO_CACHE_DIR")
-        or os.path.join(os.path.expanduser("~"), ".cache", "repro")
-    )
-    return jobs, ProfileCache(cache_dir), sim_cache, clustering_cache
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.observability import observe, record_config
-    from repro.runtime import runtime_session
+    from repro.runtime.config import using_options
 
     args = build_parser().parse_args(argv)
-    jobs, cache, sim_cache, clustering_cache = _resolve_runtime(args)
+    options = _resolve_runtime(args)
+    cache = options.cache
     try:
-        with runtime_session(
-            jobs=jobs, cache=cache,
-            match_confidence=args.match_confidence,
-            sim_cache=sim_cache,
-            clustering_cache=clustering_cache,
-        ):
+        with using_options(options):
             with observe(
                 trace_out=args.trace_out,
                 metrics_out=args.metrics_out,

@@ -21,10 +21,9 @@ dedicated :data:`SIMRESULT_KIND` kind in the
 
 The execution engine and simulator are deterministic, so a cached
 value is bit-identical to recomputing it; the equivalence tests
-enforce this. Reuse is on whenever a profile cache is active and can
-be vetoed per call (``use_sim_cache=False``), per process
-(``--no-sim-cache``), or per environment (``REPRO_NO_SIM_CACHE=1``)
-without touching the profiling caches.
+enforce this. Reuse is on whenever a profile cache is active; a run
+without a cache (``--no-cache``) or on a fresh cache directory
+simulates everything.
 
 Every lookup against :data:`SIMRESULT_KIND` is mirrored into the
 ``cache.sim.{hits,misses,stale_evictions}`` metric counters (the
@@ -53,7 +52,7 @@ from repro.core.markers import ExecutionCoordinate, MarkerTable
 from repro.observability import metrics
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, sim_cache_enabled
+from repro.runtime.config import active_cache
 
 #: ProfileCache kind under which detailed-simulation results live.
 SIMRESULT_KIND = "simresult"
@@ -164,15 +163,8 @@ def cached_full_run(
     vli_table: Optional[MarkerTable] = None,
     vli_boundaries: Optional[Sequence[ExecutionCoordinate]] = None,
     cache: Optional[ProfileCache] = None,
-    use_sim_cache: Optional[bool] = None,
-    batched: bool = True,
 ) -> TrackedRun:
-    """A full detailed run with FLI/VLI trackers, cached by content.
-
-    ``batched`` is deliberately *not* part of the key: the batched and
-    scalar paths are bit-identical (the equivalence tests enforce it),
-    so either may satisfy the other's lookup.
-    """
+    """A full detailed run with FLI/VLI trackers, cached by content."""
 
     def compute() -> TrackedRun:
         trackers = []
@@ -191,7 +183,7 @@ def cached_full_run(
         if vli is not None:
             trackers.append(vli)
         result = CMPSim(binary, memory, program_input).run_full(
-            trackers=tuple(trackers), batched=batched
+            trackers=tuple(trackers)
         )
         return TrackedRun(
             stats=result.stats,
@@ -201,7 +193,7 @@ def cached_full_run(
 
     if cache is None:
         cache = active_cache()
-    if cache is None or not sim_cache_enabled(use_sim_cache):
+    if cache is None:
         return compute()
     key = full_run_key(
         binary,
@@ -224,7 +216,6 @@ def cached_region_run(
     memory: MemoryConfig = TABLE1_CONFIG,
     program_input: ProgramInput = REF_INPUT,
     cache: Optional[ProfileCache] = None,
-    use_sim_cache: Optional[bool] = None,
 ) -> RegionResult:
     """PinPoints-style region simulation with per-region reuse.
 
@@ -240,11 +231,7 @@ def cached_region_run(
     region_list = list(regions)
     if cache is None:
         cache = active_cache()
-    if (
-        cache is None
-        or not sim_cache_enabled(use_sim_cache)
-        or not region_list
-    ):
+    if cache is None or not region_list:
         return sim.run_regions(region_list, table, warm=warm)
     keys, tail_key = region_run_keys(
         binary, region_list, table, warm, memory, program_input

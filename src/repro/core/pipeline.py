@@ -10,6 +10,7 @@ intervals, run independently on one binary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compilation.binary import Binary
@@ -29,8 +30,8 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache, cache_from_root, merge_stats
-from repro.runtime.config import active_cache
+from repro.runtime.cache import ProfileCache
+from repro.runtime.config import runtime_session
 from repro.runtime.parallel import parallel_map
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
 
@@ -45,9 +46,9 @@ class CrossBinaryConfig:
     the primary binary; the paper notes the choice is arbitrary but
     affects mapped interval sizes (our ablation benchmark measures it).
     ``match_confidence`` is the fuzzy-matcher acceptance threshold;
-    ``None`` defers to ``REPRO_MATCH_CONFIDENCE`` / the process default
-    (see :func:`repro.runtime.config.resolve_match_confidence`), and
-    the ultimate default of 1.0 disables the fuzzy fallback entirely.
+    ``None`` defers to the runtime options (see
+    :mod:`repro.runtime.config`), whose default of 1.0 disables the
+    fuzzy fallback entirely.
     """
 
     interval_size: int = 100_000
@@ -82,26 +83,6 @@ class CrossBinaryResult:
             ) from None
 
 
-def _callbranch_task(task):
-    """Worker: call-branch profile for one binary (cache-aware)."""
-    binary, program_input, cache_root = task
-    cache = cache_from_root(cache_root)
-    profile = collect_call_branch_profile(
-        binary, program_input, cache=cache
-    )
-    return profile, (cache.stats if cache is not None else None)
-
-
-def _measure_task(task):
-    """Worker: per-interval instruction counts for one binary."""
-    binary, marker_set, boundaries, program_input, cache_root = task
-    cache = cache_from_root(cache_root)
-    counts = measure_interval_instructions(
-        binary, marker_set, boundaries, program_input, cache=cache
-    )
-    return counts, (cache.stats if cache is not None else None)
-
-
 def run_cross_binary_simpoint(
     binaries: Sequence[Binary],
     config: CrossBinaryConfig = CrossBinaryConfig(),
@@ -115,11 +96,13 @@ def run_cross_binary_simpoint(
     are all run with ``config.program_input``. Steps 1 (call-branch
     profiling) and 6 (per-binary weight re-measurement) are independent
     per binary and fan out over ``jobs`` worker processes; profiles go
-    through the profile cache when one is active. Both knobs default to
-    the process-wide runtime configuration, and neither changes the
-    result: parallel cached runs are bit-identical to serial uncached
-    ones.
+    through ``cache``. Both default to the runtime options, and neither
+    changes the result: parallel cached runs are bit-identical to
+    serial uncached ones.
     """
+    if cache is not None:
+        with runtime_session(cache=cache):
+            return run_cross_binary_simpoint(binaries, config, jobs=jobs)
     if len(binaries) < 2:
         raise MatchingError("need at least two binaries to cross-map")
     if not 0 <= config.primary_index < len(binaries):
@@ -133,24 +116,17 @@ def run_cross_binary_simpoint(
             f"binaries come from different programs: {sorted(programs)}"
         )
 
-    cache = cache if cache is not None else active_cache()
-    cache_root = cache.root if cache is not None else None
-
     # Step 1: call-and-branch profile for each binary (fan-out).
     with trace.span("profile", binaries=len(binaries)):
-        profile_results = parallel_map(
-            _callbranch_task,
-            [
-                (binary, config.program_input, cache_root)
-                for binary in binaries
-            ],
+        collected = parallel_map(
+            partial(
+                collect_call_branch_profile,
+                program_input=config.program_input,
+            ),
+            binaries,
             jobs=jobs,
         )
-    merge_stats(cache, [stats for _, stats in profile_results])
-    profiles = [
-        (binary, profile)
-        for binary, (profile, _) in zip(binaries, profile_results)
-    ]
+    profiles = list(zip(binaries, collected))
     # Step 2: mappable points that exist in all binaries.
     with trace.span("match"):
         marker_set, match_report = find_mappable_points(
@@ -175,34 +151,31 @@ def run_cross_binary_simpoint(
     primary = binaries[config.primary_index]
     with trace.span("vli_profile", primary=primary.name):
         intervals = collect_vli_bbvs(
-            primary, marker_set, config.interval_size,
-            config.program_input, cache=cache,
+            primary, marker_set, config.interval_size, config.program_input
         )
     metrics.counter("pipeline.intervals_profiled").inc(len(intervals))
     # Step 4: SimPoint on the primary binary's VLI BBVs.
     with trace.span("simpoint", intervals=len(intervals)):
-        simpoint_result = run_simpoint(
-            intervals, config.simpoint, jobs=jobs, cache=cache
-        )
+        simpoint_result = run_simpoint(intervals, config.simpoint)
     # Step 5: map simulation points to all binaries (definitional).
     with trace.span("map_points"):
         mapped_points = map_simulation_points(intervals, simpoint_result)
         boundaries = interval_boundaries(intervals)
     # Step 6: re-measure weights per binary (fan-out).
     with trace.span("weights", binaries=len(binaries)):
-        measure_results = parallel_map(
-            _measure_task,
-            [
-                (binary, marker_set, boundaries, config.program_input,
-                 cache_root)
-                for binary in binaries
-            ],
+        measured = parallel_map(
+            partial(
+                measure_interval_instructions,
+                marker_set=marker_set,
+                boundaries=boundaries,
+                program_input=config.program_input,
+            ),
+            binaries,
             jobs=jobs,
         )
-    merge_stats(cache, [stats for _, stats in measure_results])
     interval_instructions: Dict[str, Tuple[int, ...]] = {}
     weights: Dict[str, Dict[int, float]] = {}
-    for binary, (counts, _) in zip(binaries, measure_results):
+    for binary, counts in zip(binaries, measured):
         interval_instructions[binary.name] = tuple(counts)
         weights[binary.name] = phase_weights(counts, simpoint_result.labels)
     return CrossBinaryResult(
@@ -239,18 +212,6 @@ def run_per_binary_simpoint(
     return intervals, result
 
 
-def _per_binary_task(task):
-    """Worker: the FLI baseline for one binary (cache-aware)."""
-    binary, interval_size, config, program_input, cache_root = task
-    cache = cache_from_root(cache_root)
-    intervals, result = run_per_binary_simpoint(
-        binary, interval_size, config, program_input, cache=cache
-    )
-    return (intervals, result), (
-        cache.stats if cache is not None else None
-    )
-
-
 def run_per_binary_simpoints(
     binaries: Sequence[Binary],
     interval_size: int = 100_000,
@@ -266,18 +227,21 @@ def run_per_binary_simpoints(
     preserve insertion order); identical to calling
     :func:`run_per_binary_simpoint` on each binary serially.
     """
-    cache = cache if cache is not None else active_cache()
-    cache_root = cache.root if cache is not None else None
+    if cache is not None:
+        with runtime_session(cache=cache):
+            return run_per_binary_simpoints(
+                binaries, interval_size, config, program_input, jobs=jobs
+            )
     results = parallel_map(
-        _per_binary_task,
-        [
-            (binary, interval_size, config, program_input, cache_root)
-            for binary in binaries
-        ],
+        partial(
+            run_per_binary_simpoint,
+            interval_size=interval_size,
+            config=config,
+            program_input=program_input,
+        ),
+        binaries,
         jobs=jobs,
     )
-    merge_stats(cache, [stats for _, stats in results])
     return {
-        binary.name: payload
-        for binary, (payload, _) in zip(binaries, results)
+        binary.name: payload for binary, payload in zip(binaries, results)
     }

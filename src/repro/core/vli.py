@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.compilation.binary import Binary, LLoop
 from repro.core.markers import ExecutionCoordinate, MarkerSet, MarkerTable
 from repro.errors import ProfilingError
-from repro.execution.engine import ExecutionEngine
 from repro.execution.events import (
     ExecutionConsumer,
     IterationProfile,
@@ -28,7 +27,7 @@ from repro.execution.events import (
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, trace_replay_enabled
+from repro.runtime.config import active_cache
 
 
 class VLIBuilder(ExecutionConsumer):
@@ -164,31 +163,25 @@ def collect_vli_bbvs(
     program_input: ProgramInput = REF_INPUT,
     *,
     cache: Optional[ProfileCache] = None,
-    use_trace: Optional[bool] = None,
 ) -> List[Interval]:
     """Profile a binary into mappable variable-length intervals.
 
-    By default the intervals are replayed from the compiled execution
-    trace (:mod:`repro.execution.trace`) — bit-identical to the scalar
-    builder; ``use_trace=False`` (or ``REPRO_NO_TRACE=1``) forces the
-    scalar oracle. With a cache (explicit or the process-wide one), the
-    profile is memoized by ``(binary, input, this binary's marker
-    table, target size)`` fingerprint — only the table matters, since
-    the builder never consults the other binaries' anchors.
+    The intervals are replayed from the compiled execution trace
+    (:mod:`repro.execution.trace`) — bit-identical to the scalar
+    :class:`VLIBuilder`, which the tests keep as its oracle. With a
+    cache (explicit or the process-wide one), the profile is memoized
+    by ``(binary, input, this binary's marker table, target size)``
+    fingerprint — only the table matters, since the builder never
+    consults the other binaries' anchors.
     """
     table = marker_set.table_for(binary.name)
-    replay = trace_replay_enabled(use_trace)
     cache = cache if cache is not None else active_cache()
 
     def compute() -> List[Interval]:
-        if replay:
-            from repro.execution.trace import compiled_trace, replay_vli
+        from repro.execution.trace import compiled_trace, replay_vli
 
-            trace = compiled_trace(binary, program_input, cache=cache)
-            return replay_vli(trace, binary, table, target_size)
-        builder = VLIBuilder(binary, table, target_size)
-        ExecutionEngine(binary, program_input).run(builder)
-        return builder.intervals
+        trace = compiled_trace(binary, program_input, cache=cache)
+        return replay_vli(trace, binary, table, target_size)
 
     if cache is None:
         return compute()

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.compilation.binary import Binary, LLoop
 from repro.core.markers import ExecutionCoordinate, MarkerSet
 from repro.errors import MappingError
-from repro.execution.engine import ExecutionEngine
 from repro.execution.events import (
     ExecutionConsumer,
     IterationProfile,
@@ -24,7 +23,7 @@ from repro.execution.events import (
 )
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, trace_replay_enabled
+from repro.runtime.config import active_cache
 
 
 class IntervalInstructionCounter(ExecutionConsumer):
@@ -138,35 +137,27 @@ def measure_interval_instructions(
     program_input: ProgramInput = REF_INPUT,
     *,
     cache: Optional[ProfileCache] = None,
-    use_trace: Optional[bool] = None,
 ) -> List[int]:
     """Instructions per mapped interval for one binary (functional run).
 
-    By default the counts are replayed from the compiled execution
-    trace (:mod:`repro.execution.trace`) as a segment sum between
-    boundary firing positions — bit-identical to the scalar counter;
-    ``use_trace=False`` (or ``REPRO_NO_TRACE=1``) forces the scalar
+    The counts are replayed from the compiled execution trace
+    (:mod:`repro.execution.trace`) as a segment sum between boundary
+    firing positions — bit-identical to the scalar
+    :class:`IntervalInstructionCounter`, which the tests keep as its
     oracle. With a cache (explicit or the process-wide one), the counts
     are memoized by ``(binary, input, this binary's marker table, the
     boundary coordinates)`` fingerprint.
     """
-    replay = trace_replay_enabled(use_trace)
     cache = cache if cache is not None else active_cache()
 
     def compute() -> List[int]:
-        if replay:
-            from repro.execution.trace import (
-                compiled_trace,
-                replay_interval_counts,
-            )
+        from repro.execution.trace import (
+            compiled_trace,
+            replay_interval_counts,
+        )
 
-            trace = compiled_trace(binary, program_input, cache=cache)
-            return replay_interval_counts(
-                trace, binary, marker_set, boundaries
-            )
-        counter = IntervalInstructionCounter(binary, marker_set, boundaries)
-        ExecutionEngine(binary, program_input).run(counter)
-        return counter.interval_instructions
+        trace = compiled_trace(binary, program_input, cache=cache)
+        return replay_interval_counts(trace, binary, marker_set, boundaries)
 
     if cache is None:
         return compute()

@@ -23,8 +23,8 @@ The replay functions in this module consume those arrays in bulk:
   ``np.add.at``.
 
 Every replay is bit-identical to the scalar consumer it replaces (the
-scalar paths are retained as oracles, selected with ``use_trace=False``
-— see ``tests/test_trace_replay_equivalence.py``); the trace encodes
+scalar consumers are retained as test oracles — see
+``tests/test_trace_replay_equivalence.py``); the trace encodes
 the exact event order the engine emits, so no ordering semantics are
 lost.
 """

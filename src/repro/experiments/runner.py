@@ -47,12 +47,7 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.programs.suite import build_benchmark
-from repro.runtime.cache import cache_from_root, merge_stats
-from repro.runtime.config import (
-    active_cache,
-    resolve_jobs,
-    resolve_match_confidence,
-)
+from repro.runtime.config import resolve_jobs, resolve_match_confidence
 from repro.runtime.parallel import parallel_map
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
 
@@ -62,8 +57,8 @@ class ExperimentConfig:
     """Knobs of the whole reproduction (defaults match DESIGN.md).
 
     ``match_confidence`` is the fuzzy marker-match acceptance
-    threshold; ``None`` defers to ``REPRO_MATCH_CONFIDENCE`` / the
-    process default (1.0 = exact matching only).
+    threshold; ``None`` defers to the runtime options (1.0 = exact
+    matching only).
     """
 
     interval_size: int = 100_000
@@ -77,7 +72,7 @@ class ExperimentConfig:
 
     def cache_key(self) -> Tuple:
         # The memo key uses the *resolved* threshold, so a config left
-        # at None keys on the effective environment/process default.
+        # at None keys on the session's threshold.
         return (
             self.interval_size,
             self.simpoint,
@@ -215,22 +210,15 @@ def _vli_estimate(
 
 def _outcome_task(task):
     """Worker: one binary's full measurement (profile + detailed sim)."""
-    target, binary, cross, config, cache_root, task_jobs = task
-    cache = cache_from_root(cache_root)
+    target, binary, cross, config = task
     fli_profile = collect_fli_bbvs(
-        binary, config.interval_size, config.program_input, cache=cache
+        binary, config.interval_size, config.program_input
     )
-    # ``task_jobs`` is 1 when the per-binary pool itself fans out, so
-    # the clustering stage's restart fan-out composes with the outer
-    # pool instead of oversubscribing it.
-    fli_simpoint = run_simpoint(
-        fli_profile, config.simpoint, jobs=task_jobs, cache=cache
-    )
+    fli_simpoint = run_simpoint(fli_profile, config.simpoint)
 
     # The detailed simulation — the dominant repeated cost of a sweep —
     # is keyed by content and reused across runs whenever a cache is
-    # active (the sim-cache knob can veto reuse without touching the
-    # profiling caches above).
+    # active.
     tracked = cached_full_run(
         binary,
         memory=config.memory,
@@ -238,7 +226,6 @@ def _outcome_task(task):
         fli_interval_size=config.interval_size,
         vli_table=cross.marker_set.table_for(binary.name),
         vli_boundaries=cross.boundaries,
-        cache=cache,
     )
     stats = tracked.stats
 
@@ -257,7 +244,7 @@ def _outcome_task(task):
         ),
         vli_weights=cross.weights_for(binary.name),
     )
-    return outcome, (cache.stats if cache is not None else None)
+    return outcome
 
 
 def _annotate_session(run: BenchmarkRun) -> None:
@@ -399,26 +386,17 @@ def run_benchmark(
         )
 
     with trace.span("outcomes", benchmark=name):
-        cache = active_cache()
-        cache_root = cache.root if cache is not None else None
-        # When the per-binary pool fans out, each worker clusters
-        # serially (nested jobs = 1); when it runs serially, the
-        # clustering stage gets the whole job budget instead.
-        fanned = min(resolve_jobs(jobs), len(config.targets)) > 1
-        task_jobs = 1 if fanned else jobs
         results = parallel_map(
             _outcome_task,
             [
-                (target, binaries[target], cross, config, cache_root,
-                 task_jobs)
+                (target, binaries[target], cross, config)
                 for target in config.targets
             ],
             jobs=jobs,
         )
-        merge_stats(cache, [stats for _, stats in results])
         outcomes: Dict[str, BinaryOutcome] = {
             target.label: outcome
-            for target, (outcome, _) in zip(config.targets, results)
+            for target, outcome in zip(config.targets, results)
         }
 
     run = BenchmarkRun(
@@ -432,16 +410,8 @@ def run_benchmark(
 def _benchmark_task(task):
     """Worker: one benchmark's full experiment (nested fan-out is
     suppressed inside workers, so this runs serially there)."""
-    name, config, cache_root = task
-    cache = cache_from_root(cache_root)
-    if cache is not None:
-        from repro.runtime.config import runtime_session
-
-        with runtime_session(cache=cache):
-            run = run_benchmark(name, config)
-    else:
-        run = run_benchmark(name, config)
-    return run, (cache.stats if cache is not None else None)
+    name, config = task
+    return run_benchmark(name, config)
 
 
 def run_suite(
@@ -457,8 +427,6 @@ def run_suite(
     processes (each worker runs its benchmark serially); finished runs
     are installed in the in-process memo so later sweeps reuse them.
     """
-    from repro.runtime.config import resolve_jobs
-
     runs: Dict[str, BenchmarkRun] = {}
     pending = []
     for name in names:
@@ -471,15 +439,12 @@ def run_suite(
         if progress:
             for name in pending:
                 print(f"[repro] running {name} ...", flush=True)
-        cache = active_cache()
-        cache_root = cache.root if cache is not None else None
         results = parallel_map(
             _benchmark_task,
-            [(name, config, cache_root) for name in pending],
+            [(name, config) for name in pending],
             jobs=jobs,
         )
-        merge_stats(cache, [stats for _, stats in results])
-        for run, _ in results:
+        for run in results:
             remember_run(run)
             runs[run.name] = run
     else:

@@ -36,8 +36,7 @@ from repro.experiments.runner import (
     remember_run,
     run_benchmark,
 )
-from repro.runtime.cache import cache_from_root, merge_stats
-from repro.runtime.config import active_cache, resolve_jobs
+from repro.runtime.config import resolve_jobs
 from repro.runtime.parallel import parallel_map
 from repro.simpoint.early import run_early_simpoint
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
@@ -80,19 +79,15 @@ def sweep_interval_sizes(
         "sweep_interval_sizes", benchmark=benchmark, settings=len(sizes)
     ):
         if resolve_jobs(jobs) > 1 and len(sizes) > 1:
-            cache = active_cache()
-            cache_root = cache.root if cache is not None else None
             task_results = parallel_map(
                 _benchmark_task,
                 [
-                    (benchmark, replace(base_config, interval_size=size),
-                     cache_root)
+                    (benchmark, replace(base_config, interval_size=size))
                     for size in sizes
                 ],
                 jobs=jobs,
             )
-            merge_stats(cache, [stats for _, stats in task_results])
-            for size, (run, _) in zip(sizes, task_results):
+            for size, run in zip(sizes, task_results):
                 remember_run(run)
                 runs_by_size[size] = run
         for size in sizes:
@@ -171,12 +166,8 @@ class MaxKSweepPoint:
 
 def _recluster_task(task):
     """Worker: re-cluster one profile under one configuration."""
-    intervals, config, cache_root, task_jobs = task
-    cache = cache_from_root(cache_root)
-    result = run_simpoint(
-        list(intervals), config, jobs=task_jobs, cache=cache
-    )
-    return result, (cache.stats if cache is not None else None)
+    intervals, config = task
+    return run_simpoint(list(intervals), config)
 
 
 def sweep_max_k(
@@ -188,29 +179,21 @@ def sweep_max_k(
     """Re-cluster a cached run's VLI profile under several budgets.
 
     The re-clusterings are independent, so with ``jobs`` > 1 they fan
-    out over worker processes; a serial sweep instead hands the job
-    budget to each clustering's own (k, restart) fan-out. Either way
-    the content-keyed clustering cache is consulted per cell.
+    out over worker processes; either way the content-keyed clustering
+    cache is consulted per cell.
     """
     if not budgets:
         raise SimulationError("no budgets given")
     results: Dict[int, MaxKSweepPoint] = {}
     with trace.span("sweep_max_k", settings=len(budgets)):
-        cache = active_cache()
-        cache_root = cache.root if cache is not None else None
-        fanned = min(resolve_jobs(jobs), len(budgets)) > 1
-        task_jobs = 1 if fanned else jobs
-        task_results = parallel_map(
+        simpoint_results = parallel_map(
             _recluster_task,
             [
-                (run.cross.intervals, SimPointConfig(max_k=budget),
-                 cache_root, task_jobs)
+                (run.cross.intervals, SimPointConfig(max_k=budget))
                 for budget in budgets
             ],
             jobs=jobs,
         )
-        merge_stats(cache, [stats for _, stats in task_results])
-        simpoint_results = [result for result, _ in task_results]
     for budget, simpoint_result in zip(budgets, simpoint_results):
         results[budget] = MaxKSweepPoint(
             max_k=budget,
@@ -235,8 +218,6 @@ class EarlySweepPoint:
 def sweep_early_tolerance(
     run: BenchmarkRun,
     tolerances: Sequence[float],
-    *,
-    jobs: Optional[int] = None,
 ) -> Dict[float, EarlySweepPoint]:
     """Early-point tolerance sweep over a cached run's VLI profile."""
     if not tolerances:
@@ -248,8 +229,7 @@ def sweep_early_tolerance(
             # Every tolerance reuses one cached clustering (the key is
             # tolerance-independent); only the first call clusters.
             early = run_early_simpoint(
-                intervals, SimPointConfig(), tolerance=tolerance,
-                jobs=jobs,
+                intervals, SimPointConfig(), tolerance=tolerance
             )
             results[tolerance] = EarlySweepPoint(
                 tolerance=tolerance,

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 
 from repro.compilation.binary import Binary, LLoop
 from repro.errors import ProfilingError
-from repro.execution.engine import ExecutionEngine
 from repro.execution.events import (
     ExecutionConsumer,
     IterationProfile,
@@ -26,7 +25,7 @@ from repro.execution.events import (
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, trace_replay_enabled
+from repro.runtime.config import active_cache
 
 
 class FixedLengthBBVCollector(ExecutionConsumer):
@@ -103,31 +102,23 @@ def collect_fli_bbvs(
     program_input: ProgramInput = REF_INPUT,
     *,
     cache: Optional[ProfileCache] = None,
-    use_trace: Optional[bool] = None,
 ) -> List[Interval]:
     """Profile a binary into fixed-length-interval BBVs.
 
-    By default the profile is replayed from the compiled execution
-    trace (:mod:`repro.execution.trace`), which is bit-identical to
-    (and much faster than) the scalar event-stream collector;
-    ``use_trace=False`` (or ``REPRO_NO_TRACE=1``) forces the scalar
-    oracle. With a cache (explicit or the process-wide one), the
-    profile is memoized by ``(binary, input, interval size)``
-    fingerprint — the key is path-independent because both paths
-    produce identical intervals.
+    The profile is replayed from the compiled execution trace
+    (:mod:`repro.execution.trace`), bit-identical to (and much faster
+    than) the scalar :class:`FixedLengthBBVCollector`, which the tests
+    keep as its oracle. With a cache (explicit or the process-wide
+    one), the profile is memoized by ``(binary, input, interval
+    size)`` fingerprint.
     """
-    replay = trace_replay_enabled(use_trace)
     cache = cache if cache is not None else active_cache()
 
     def compute() -> List[Interval]:
-        if replay:
-            from repro.execution.trace import compiled_trace, replay_fli
+        from repro.execution.trace import compiled_trace, replay_fli
 
-            trace = compiled_trace(binary, program_input, cache=cache)
-            return replay_fli(trace, interval_size)
-        collector = FixedLengthBBVCollector(binary, interval_size)
-        ExecutionEngine(binary, program_input).run(collector)
-        return collector.intervals
+        trace = compiled_trace(binary, program_input, cache=cache)
+        return replay_fli(trace, interval_size)
 
     if cache is None:
         return compute()

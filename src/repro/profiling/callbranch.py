@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.compilation.binary import Binary
-from repro.execution.pin import PinTool, run_with_tools
+from repro.execution.pin import PinTool
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.programs.ir import SourceLocation
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, trace_replay_enabled
+from repro.runtime.config import active_cache
 
 
 @dataclass(frozen=True)
@@ -115,32 +115,23 @@ def collect_call_branch_profile(
     program_input: ProgramInput = REF_INPUT,
     *,
     cache: Optional[ProfileCache] = None,
-    use_trace: Optional[bool] = None,
 ) -> CallBranchProfile:
-    """Run a binary under the call-and-branch profiler.
+    """The call-and-branch profile of one run of a binary.
 
-    By default the profile is reduced from the compiled execution
-    trace (:mod:`repro.execution.trace`) with bulk ``np.add.at``
-    accumulation — bit-identical to the scalar Pin-tool run;
-    ``use_trace=False`` (or ``REPRO_NO_TRACE=1``) forces the scalar
+    The profile is reduced from the compiled execution trace
+    (:mod:`repro.execution.trace`) with bulk ``np.add.at``
+    accumulation — bit-identical to running the scalar
+    :class:`CallBranchProfiler` Pin tool, which the tests keep as its
     oracle. With a cache (explicit or the process-wide one), the
     profile is memoized by ``(binary, input)`` content fingerprint.
     """
-    replay = trace_replay_enabled(use_trace)
     cache = cache if cache is not None else active_cache()
 
     def compute() -> CallBranchProfile:
-        if replay:
-            from repro.execution.trace import (
-                compiled_trace,
-                replay_call_branch,
-            )
+        from repro.execution.trace import compiled_trace, replay_call_branch
 
-            trace = compiled_trace(binary, program_input, cache=cache)
-            return replay_call_branch(trace, binary)
-        profiler = CallBranchProfiler()
-        run_with_tools(binary, (profiler,), program_input)
-        return profiler.profile()
+        trace = compiled_trace(binary, program_input, cache=cache)
+        return replay_call_branch(trace, binary)
 
     if cache is None:
         return compute()

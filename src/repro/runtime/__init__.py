@@ -13,15 +13,19 @@ This package exploits that twice:
   deterministic (input-order) results and a serial fallback
   (``REPRO_JOBS=1`` or any environment where pools are unavailable).
 
-:mod:`repro.runtime.config` holds the process-wide defaults: the
-``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` environment
-variables, and the CLI flags (``--jobs``, ``--cache-dir``,
-``--no-cache``) that the CLI installs through
-:func:`~repro.runtime.config.runtime_session`. Cached and parallel
-runs are bit-identical to serial uncached runs: the cache stores
-exactly what the profilers return, and the pool only changes *where*
-each deterministic profile is computed, never in what order results
-are consumed.
+:mod:`repro.runtime.config` holds the one
+:class:`~repro.runtime.config.RuntimeOptions` object a run executes
+under: worker count, active cache and match threshold, each taken from
+an explicit flag or argument, else the environment (``REPRO_JOBS``,
+``REPRO_CACHE_DIR``/``REPRO_NO_CACHE``, ``REPRO_MATCH_CONFIDENCE``),
+else the default. The CLI installs its flags (``--jobs``,
+``--cache-dir``, ``--no-cache``, ``--match-confidence``) through
+:func:`~repro.runtime.config.runtime_session`, and
+:func:`parallel_map` hands the options to every worker. Cached and
+parallel runs are bit-identical to serial uncached runs: the cache
+stores exactly what the profilers return, and the pool only changes
+*where* each deterministic profile is computed, never in what order
+results are consumed.
 """
 
 from repro.runtime.cache import (
@@ -31,12 +35,11 @@ from repro.runtime.cache import (
     cache_from_root,
 )
 from repro.runtime.config import (
+    RuntimeOptions,
     active_cache,
-    clustering_cache_enabled,
+    current_options,
     resolve_jobs,
     runtime_session,
-    set_cache,
-    sim_cache_enabled,
 )
 from repro.runtime.fingerprint import fingerprint
 from repro.runtime.parallel import parallel_map
@@ -45,13 +48,12 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "CacheStats",
     "ProfileCache",
+    "RuntimeOptions",
     "active_cache",
     "cache_from_root",
-    "clustering_cache_enabled",
+    "current_options",
     "fingerprint",
     "parallel_map",
     "resolve_jobs",
     "runtime_session",
-    "set_cache",
-    "sim_cache_enabled",
 ]

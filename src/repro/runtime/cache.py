@@ -87,6 +87,12 @@ class ProfileCache:
         self.root = Path(root)
         self.stats = CacheStats()
 
+    def __reduce__(self):
+        # A handle crosses process boundaries as its root alone: the
+        # statistics belong to one process, and parallel_map merges a
+        # worker's back into the parent's handle.
+        return (ProfileCache, (self.root,))
+
     def _path(self, kind: str, digest: str) -> Path:
         return self.root / kind / digest[:2] / f"{digest}.pkl"
 
@@ -218,10 +224,6 @@ def merge_stats(
 def cache_from_root(
     root: Optional[Union[str, Path]]
 ) -> Optional[ProfileCache]:
-    """A fresh handle on a cache directory, or ``None`` for no cache.
-
-    Worker processes use this to reopen the parent's cache from its
-    root path (handles themselves hold per-process statistics and are
-    deliberately not shared).
-    """
+    """A fresh handle (with its own statistics) on a cache directory,
+    or ``None`` for no cache."""
     return ProfileCache(root) if root is not None else None

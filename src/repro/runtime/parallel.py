@@ -12,12 +12,15 @@ three guarantees:
 * **exception transparency** — an exception raised by ``fn`` for any
   item propagates to the caller, as in the serial loop.
 
-It is also the pipeline's cross-process metrics seam: each pool task
-runs inside a scoped :mod:`repro.observability.metrics` registry whose
-snapshot ships back with the result and is merged into the parent, and
-every task's latency lands in the ``parallel.task_seconds`` histogram.
-Observability never changes results — payloads are unwrapped before
-they are returned.
+It is also the pipeline's cross-process seam for settings and
+observations. Each pool task runs under the parent's
+:class:`~repro.runtime.config.RuntimeOptions` (its cache reopened from
+the root path) and inside a scoped :mod:`repro.observability.metrics`
+registry; the registry snapshot and the task's cache statistics ship
+back with the result and are merged into the parent, and every task's
+latency lands in the ``parallel.task_seconds`` histogram. Observability
+never changes results — payloads are unwrapped before they are
+returned.
 
 Worker functions must be module-level (picklable); keyword arguments
 can be bound with :func:`functools.partial`.
@@ -32,7 +35,13 @@ from typing import Callable, Iterable, List, Optional, TypeVar
 
 from repro.errors import ReproError
 from repro.observability import metrics, trace
-from repro.runtime.config import resolve_jobs
+from repro.runtime.cache import merge_stats
+from repro.runtime.config import (
+    RuntimeOptions,
+    current_options,
+    resolve_jobs,
+    using_options,
+)
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -47,19 +56,25 @@ def _mark_worker() -> None:
     _in_worker = True
 
 
-def _observed_call(fn, indexed_item):
-    """Worker shim: run one task inside a scoped metrics registry.
+def _observed_call(fn, options: RuntimeOptions, indexed_item):
+    """Worker shim: run one task under the parent's options and inside
+    a scoped metrics registry.
 
-    Returns ``(index, result, metrics_delta, seconds)`` so the parent
-    can fold the task's metrics and latency into its own registry *in
-    task-index order*. Per-task scoping matters because pool workers
-    are reused: absolute worker totals would double-count across tasks.
+    Returns ``(index, result, metrics_delta, cache_stats, seconds)`` so
+    the parent can fold the task's metrics, cache statistics and
+    latency into its own *in task-index order*. Per-task scoping
+    matters because pool workers are reused: absolute worker totals
+    would double-count across tasks. ``options`` is unpickled afresh
+    for every task, so its cache handle counts this task alone.
     """
     index, item = indexed_item
     start = time.perf_counter()
-    with metrics.scoped_registry() as local:
+    with using_options(options), metrics.scoped_registry() as local:
         result = fn(item)
-    return index, result, local.snapshot(), time.perf_counter() - start
+    stats = options.cache.stats if options.cache is not None else None
+    return (
+        index, result, local.snapshot(), stats, time.perf_counter() - start
+    )
 
 
 def _serial_map(fn: Callable[[_T], _R], work: List[_T]) -> List[_R]:
@@ -82,13 +97,14 @@ def parallel_map(
     n_jobs = min(resolve_jobs(jobs), len(work))
     if n_jobs <= 1 or _in_worker:
         return _serial_map(fn, work)
+    options = current_options()
     futures: List[concurrent.futures.Future] = []
     try:
         with trace.span("parallel_map", items=len(work), jobs=n_jobs):
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=n_jobs, initializer=_mark_worker
             ) as pool:
-                call = functools.partial(_observed_call, fn)
+                call = functools.partial(_observed_call, fn, options)
                 try:
                     for indexed in enumerate(work):
                         futures.append(pool.submit(call, indexed))
@@ -139,8 +155,9 @@ def parallel_map(
     observed.sort(key=lambda entry: entry[0])
     latencies = metrics.histogram("parallel.task_seconds")
     results: List[_R] = []
-    for _index, result, delta, seconds in observed:
+    for _index, result, delta, cache_stats, seconds in observed:
         metrics.merge(delta)
+        merge_stats(options.cache, [cache_stats])
         latencies.observe(seconds)
         results.append(result)
     return results

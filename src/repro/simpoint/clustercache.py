@@ -15,18 +15,11 @@ BBV matrix and interval weights (by shape, dtype, and content digest —
 projection dimensions and seed are therefore covered through the
 matrix itself), the k budget, the BIC threshold, ``n_init`` /
 ``max_iter`` / seed, and the search strategy. The format-version salt
-is applied by the cache on every key. ``jobs`` is deliberately *not*
-part of the key: the parallel and serial paths are bit-identical (the
-equivalence tests enforce it), so either may satisfy the other's
-lookup.
+is applied by the cache on every key.
 
-Reuse is on whenever a profile cache is active and can be vetoed per
-call (``use_clustering_cache=False``), per process
-(``--no-clustering-cache``), or per environment
-(``REPRO_NO_CLUSTERING_CACHE=1``) without touching the profiling
-caches. Every lookup lands in the
-``cache.clustering.{hits,misses,stale_evictions}`` metric counters —
-the kind name is chosen so the cache's automatic per-kind counters
+Reuse is on whenever a profile cache is active. Every lookup lands in
+the ``cache.clustering.{hits,misses,stale_evictions}`` metric counters
+— the kind name is chosen so the cache's automatic per-kind counters
 (``cache.<kind>.*``) double as the manifest's clustering summary, with
 no mirroring layer (unlike ``cache.sim.*``, which aliases the
 ``simresult`` kind and must be mirrored by hand).
@@ -41,7 +34,7 @@ import numpy as np
 
 from repro.errors import ClusteringError
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, clustering_cache_enabled
+from repro.runtime.config import active_cache
 from repro.simpoint.select import (
     ClusteringChoice,
     choose_clustering,
@@ -105,9 +98,7 @@ def cached_choose_clustering(
     max_iter: int = 100,
     seed: int = 0,
     k_search: str = "exhaustive",
-    jobs: Optional[int] = None,
     cache: Optional[ProfileCache] = None,
-    use_clustering_cache: Optional[bool] = None,
 ) -> ClusteringChoice:
     """The BIC-chosen clustering for one projected profile, cached.
 
@@ -136,12 +127,11 @@ def cached_choose_clustering(
             n_init=n_init,
             max_iter=max_iter,
             seed=seed,
-            jobs=jobs,
         )
 
     if cache is None:
         cache = active_cache()
-    if cache is None or not clustering_cache_enabled(use_clustering_cache):
+    if cache is None:
         return compute()
     key = clustering_key(
         points,

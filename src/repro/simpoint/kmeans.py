@@ -16,23 +16,20 @@ Everything is seeded and deterministic.
 every iteration, with point norms hoisted out of the loop (computed
 once per call and shared with seeding and the final inertia pass). It
 tallies the distance rows it computes into the
-``simpoint.kmeans_distance_rows`` counter. Restarts are independently
-seeded tasks (the k-means++ draws all come from one generator *before*
-any Lloyd run), so they can fan out over ``jobs`` worker processes
-with the winner chosen by the deterministic (inertia, restart-order)
-tie-break — bit-identical to the serial order.
+``simpoint.kmeans_distance_rows`` counter. Restarts run in order from
+one seeded generator, and the winner is the first restart with the
+smallest inertia.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ClusteringError
 from repro.observability import metrics
-from repro.runtime.parallel import parallel_map
 
 
 @dataclass(frozen=True)
@@ -208,63 +205,6 @@ def _lloyd(
     )
 
 
-def _restart_task(task) -> KMeansResult:
-    """Worker: one independent Lloyd restart from a precomputed init.
-
-    Module-level so :func:`~repro.runtime.parallel.parallel_map` can
-    pickle it; the task tuple carries the hoisted point norms so the
-    serial and parallel paths run the same arithmetic.
-    """
-    points, weights, init, max_iter, point_norms = task
-    return _lloyd(points, weights, init, max_iter, point_norms)
-
-
-def restart_tasks(
-    points: np.ndarray,
-    weights: np.ndarray,
-    k: int,
-    n_init: int,
-    max_iter: int,
-    seed: int,
-    point_norms: Optional[np.ndarray] = None,
-) -> List[tuple]:
-    """Materialize the ``n_init`` restart tasks for one (k, seed).
-
-    All k-means++ randomness is drawn here, serially, from one
-    generator — exactly the draws the serial restart loop would make —
-    so the returned tasks are pure, independently runnable Lloyd
-    invocations. :func:`choose_clustering` concatenates the task lists
-    of every probed k into one flat ``parallel_map`` fan-out.
-    """
-    if point_norms is None:
-        point_norms = _point_norms(points)
-    rng = np.random.default_rng(seed)
-    return [
-        (
-            points,
-            weights,
-            _kmeanspp_init(points, weights, k, rng, point_norms).copy(),
-            max_iter,
-            point_norms,
-        )
-        for _ in range(max(1, n_init))
-    ]
-
-
-def _best_restart(results: Sequence[KMeansResult]) -> KMeansResult:
-    """The deterministic (inertia, restart-order) winner.
-
-    Strictly-smaller-inertia-wins with ties keeping the earliest
-    restart — exactly the serial loop's "replace only on improvement"
-    rule, so a parallel fan-out picks the same clustering.
-    """
-    best = results[0]
-    for result in results[1:]:
-        if result.inertia < best.inertia:
-            best = result
-    return best
-
-
 def weighted_kmeans(
     points: np.ndarray,
     k: int,
@@ -273,16 +213,12 @@ def weighted_kmeans(
     max_iter: int = 100,
     seed: int = 0,
     *,
-    jobs: Optional[int] = None,
     point_norms: Optional[np.ndarray] = None,
 ) -> KMeansResult:
     """Cluster ``points`` into ``k`` clusters, minimizing weighted inertia.
 
-    Runs ``n_init`` k-means++-seeded restarts and returns the best by
-    the (inertia, restart-order) tie-break. All seeding randomness is
-    drawn up front, so the restarts are independent Lloyd tasks that
-    fan out over ``jobs`` worker processes (default: the runtime
-    configuration) bit-identically to the serial order.
+    Runs ``n_init`` k-means++-seeded restarts and returns the one with
+    the smallest inertia, the earliest restart winning a tie.
     ``point_norms`` may carry the per-point squared norms hoisted by a
     caller that clusters the same points repeatedly.
 
@@ -313,8 +249,13 @@ def weighted_kmeans(
             inertia=inertia,
             iterations=1,
         )
-    tasks = restart_tasks(
-        points, weights, k, n_init, max_iter, seed, point_norms
-    )
-    results: List[KMeansResult] = parallel_map(_restart_task, tasks, jobs=jobs)
-    return _best_restart(results)
+    if point_norms is None:
+        point_norms = _point_norms(points)
+    rng = np.random.default_rng(seed)
+    best: Optional[KMeansResult] = None
+    for _ in range(max(1, n_init)):
+        init = _kmeanspp_init(points, weights, k, rng, point_norms)
+        result = _lloyd(points, weights, init, max_iter, point_norms)
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best

@@ -97,16 +97,13 @@ def run_simpoint(
     intervals: Sequence[Interval],
     config: SimPointConfig = SimPointConfig(),
     *,
-    jobs: "int | None" = None,
     cache: "ProfileCache | None" = None,
-    use_clustering_cache: "bool | None" = None,
 ) -> SimPointResult:
     """Run the full SimPoint pipeline over profiled intervals.
 
-    ``jobs`` fans the clustering stage's (k, restart) tasks over worker
-    processes; ``cache`` / ``use_clustering_cache`` control
-    content-keyed clustering reuse (defaults: the runtime
-    configuration). All combinations are bit-identical.
+    The chosen clustering is reused from ``cache`` (default: the active
+    one) when the same projected profile was clustered before; a
+    cached choice is bit-identical to a fresh one.
     """
     vector_set = build_vector_set(intervals)
     projected = project(
@@ -121,9 +118,7 @@ def run_simpoint(
         max_iter=config.max_iter,
         seed=config.kmeans_seed,
         k_search=config.k_search,
-        jobs=jobs,
         cache=cache,
-        use_clustering_cache=use_clustering_cache,
     )
     picks = pick_simulation_points(
         projected, vector_set.weights, choice.result

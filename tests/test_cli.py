@@ -84,3 +84,44 @@ class TestCommands:
         assert "Speedup error, cross platform" in out
         # gcc/apsi tables are skipped when those benchmarks are absent.
         assert "phase comparison" not in out
+
+
+class TestRuntimeFlags:
+    """Flags beat the environment, which beats the CLI defaults."""
+
+    def _options_seen_by(self, monkeypatch, argv):
+        from repro import cli
+        from repro.runtime import current_options
+
+        seen = []
+        monkeypatch.setitem(
+            cli._COMMANDS, "list",
+            lambda args: seen.append(current_options()) or 0,
+        )
+        assert main(argv) == 0
+        return seen[0]
+
+    def test_flags_beat_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setenv("REPRO_MATCH_CONFIDENCE", "0.9")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        options = self._options_seen_by(monkeypatch, [
+            "list", "--jobs", "4", "--match-confidence", "0.6",
+            "--cache-dir", str(tmp_path / "flag"),
+        ])
+        assert options.jobs == 4
+        assert options.match_confidence == 0.6
+        assert options.cache.root == tmp_path / "flag"
+        options = self._options_seen_by(monkeypatch, ["list", "--no-cache"])
+        assert options.cache is None
+
+    def test_environment_beats_defaults(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setenv("REPRO_MATCH_CONFIDENCE", "0.9")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        options = self._options_seen_by(monkeypatch, ["list"])
+        assert options.jobs == 2
+        assert options.match_confidence == 0.9
+        assert options.cache.root == tmp_path
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert self._options_seen_by(monkeypatch, ["list"]).cache is None

@@ -1,24 +1,16 @@
-"""The accelerated clustering engine: fan-out and reuse.
+"""The clustering engine: the Lloyd kernel and clustering reuse.
 
-Two independent accelerations ride under ``weighted_kmeans`` /
-``choose_clustering`` and both promise *bit-identical* results to the
-plain serial Lloyd kernel:
-
-- parallel restart fan-out (``jobs``), and
-- content-keyed clustering reuse (the ``"clustering"`` cache kind).
-
-This suite enforces the promise with hypothesis-driven equivalence
-checks on tie-heavy integer grids (where a nondeterministic reduction
-would surface first), exercises the empty-cluster repair path
-explicitly, and covers the cache key schema, the escape hatches, and
-the observability surface in the style of ``tests/test_simcache.py``.
+Content-keyed clustering reuse (the ``"clustering"`` cache kind)
+promises choices *bit-identical* to clustering afresh. This suite
+exercises the kernel's empty-cluster repair path explicitly, and
+covers the cache key schema, warm reuse, and the observability surface
+in the style of ``tests/test_simcache.py``.
 """
 
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ClusteringError
 from repro.observability import metrics
@@ -31,57 +23,16 @@ from repro.observability.inspect import render_manifest
 from repro.observability.ledger import entry_from_manifest
 from repro.observability.manifest import build_manifest, validate_manifest
 from repro.observability.metrics import Registry
-from repro.runtime import ProfileCache, fingerprint, runtime_session
+from repro.runtime import ProfileCache, fingerprint
 from repro.simpoint.clustercache import (
     CLUSTERING_KIND,
     cached_choose_clustering,
     clustering_key,
 )
-from repro.simpoint.kmeans import (
-    _lloyd,
-    _point_norms,
-    weighted_kmeans,
-)
-from repro.simpoint.select import (
-    choose_clustering,
-    choose_clustering_binary_search,
-)
+from repro.simpoint.kmeans import _lloyd, _point_norms
+from repro.simpoint.select import choose_clustering
 from repro.simpoint.simpoint import SimPointConfig, run_simpoint
 from repro.simpoint.vectors import Interval
-
-_SETTINGS = settings(deadline=None, max_examples=40)
-
-#: Tie-heavy inputs: small integer grids force duplicate points,
-#: equidistant centroid choices, and zero-distance draws in k-means++ —
-#: exactly where argmin tie-breaks could diverge.
-_grid_points = st.builds(
-    lambda rows, seed: np.asarray(rows, dtype=np.float64)
-    if rows
-    else np.asarray([[0.0, 0.0]]),
-    rows=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=4),
-            st.integers(min_value=0, max_value=4),
-        ).map(list),
-        min_size=2,
-        max_size=24,
-    ),
-    seed=st.just(0),
-)
-
-
-def _assert_same_result(a, b):
-    assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.labels, b.labels)
-    assert a.inertia == b.inertia
-    assert a.iterations == b.iterations
-
-
-def _assert_same_choice(a, b):
-    assert a.k == b.k
-    assert a.chosen_index == b.chosen_index
-    assert a.bic_scores == b.bic_scores
-    _assert_same_result(a.result, b.result)
 
 
 class TestLloydKernel:
@@ -102,41 +53,6 @@ class TestLloydKernel:
         result = _lloyd(points, weights, init.copy(), 100,
                         point_norms=_point_norms(points))
         assert set(np.unique(result.labels)) == {0, 1, 2}
-
-class TestParallelEquivalence:
-    @_SETTINGS
-    @given(
-        points=_grid_points,
-        k=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=3),
-    )
-    def test_parallel_restarts_match_serial(self, points, k, seed):
-        k = min(k, points.shape[0])
-        serial = weighted_kmeans(points, k, n_init=3, seed=seed, jobs=1)
-        fanned = weighted_kmeans(points, k, n_init=3, seed=seed, jobs=4)
-        _assert_same_result(serial, fanned)
-
-    def test_choose_clustering_parallel_matches_serial(self):
-        rng = np.random.default_rng(23)
-        points = rng.normal(size=(40, 5))
-        weights = rng.integers(1, 5, size=40).astype(np.float64)
-        serial = choose_clustering(points, weights, max_k=5, n_init=2,
-                                   seed=9, jobs=1)
-        fanned = choose_clustering(points, weights, max_k=5, n_init=2,
-                                   seed=9, jobs=4)
-        _assert_same_choice(serial, fanned)
-
-    def test_binary_search_parallel_matches_serial(self):
-        rng = np.random.default_rng(31)
-        points = rng.normal(size=(50, 4))
-        weights = np.ones(50)
-        serial = choose_clustering_binary_search(
-            points, weights, max_k=8, n_init=2, seed=4, jobs=1
-        )
-        fanned = choose_clustering_binary_search(
-            points, weights, max_k=8, n_init=2, seed=4, jobs=2
-        )
-        _assert_same_choice(serial, fanned)
 
 
 class TestKeySchema:
@@ -182,18 +98,6 @@ class TestKeySchema:
         assert fingerprint(base) not in digests
         assert len(digests) == len(variants)
 
-    def test_jobs_is_not_part_of_the_key(self, tmp_path):
-        # Bit-identity makes a fanned-out answer valid for a serial
-        # lookup, so the key deliberately omits the job count.
-        points, weights = self._points()
-        cache = ProfileCache(tmp_path)
-        kwargs = dict(max_k=4, n_init=2, cache=cache)
-        fanned = cached_choose_clustering(points, weights, jobs=4, **kwargs)
-        serial = cached_choose_clustering(points, weights, jobs=1, **kwargs)
-        assert pickle.dumps(fanned) == pickle.dumps(serial)
-        row = cache.stats.by_kind[CLUSTERING_KIND]
-        assert (row.hits, row.misses) == (1, 1)
-
 
 class TestCachedChooseClustering:
     def _points(self):
@@ -225,27 +129,6 @@ class TestCachedChooseClustering:
                 points, weights, max_k=3, k_search="linear",
                 cache=ProfileCache(tmp_path),
             )
-
-    def test_escape_hatches_disable_reuse(self, tmp_path, monkeypatch):
-        points, weights = self._points()
-        cache = ProfileCache(tmp_path)
-        kwargs = dict(max_k=3, n_init=2, cache=cache)
-        # Per-call veto.
-        cached_choose_clustering(points, weights,
-                                 use_clustering_cache=False, **kwargs)
-        assert CLUSTERING_KIND not in cache.stats.by_kind
-        # Process default (the CLI's --no-clustering-cache lands here).
-        with runtime_session(clustering_cache=False):
-            cached_choose_clustering(points, weights, **kwargs)
-        assert CLUSTERING_KIND not in cache.stats.by_kind
-        # Environment veto.
-        monkeypatch.setenv("REPRO_NO_CLUSTERING_CACHE", "1")
-        cached_choose_clustering(points, weights, **kwargs)
-        assert CLUSTERING_KIND not in cache.stats.by_kind
-        monkeypatch.delenv("REPRO_NO_CLUSTERING_CACHE")
-        # And with every hatch open, reuse resumes.
-        cached_choose_clustering(points, weights, **kwargs)
-        assert cache.stats.by_kind[CLUSTERING_KIND].misses == 1
 
     def test_run_simpoint_reuses_warm_clusterings(self, tmp_path):
         rng = np.random.default_rng(41)

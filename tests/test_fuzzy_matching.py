@@ -18,11 +18,7 @@ from repro.core.matching import (
 )
 from repro.errors import CacheError, MatchingError
 from repro.profiling.callbranch import collect_call_branch_profile
-from repro.runtime.config import (
-    resolve_match_confidence,
-    runtime_session,
-    set_match_confidence,
-)
+from repro.runtime.config import resolve_match_confidence, runtime_session
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +76,13 @@ class TestThresholdResolution:
         assert resolve_match_confidence(0.6) == 0.6
 
     def test_environment_beats_process_default(self, monkeypatch):
+        # The environment beats the built-in default, and an explicit
+        # session setting (where the CLI's flag lands) beats both.
         monkeypatch.setenv("REPRO_MATCH_CONFIDENCE", "0.8")
+        assert resolve_match_confidence() == 0.8
         with runtime_session(match_confidence=0.5):
+            assert resolve_match_confidence() == 0.5
+        with runtime_session(jobs=2):
             assert resolve_match_confidence() == 0.8
 
     def test_process_default_applies(self, monkeypatch):
@@ -90,19 +91,21 @@ class TestThresholdResolution:
             assert resolve_match_confidence() == 0.7
         assert resolve_match_confidence() == 1.0
 
-    def test_set_match_confidence_restores(self, monkeypatch):
+    def test_nested_session_inherits_and_restores(self, monkeypatch):
         monkeypatch.delenv("REPRO_MATCH_CONFIDENCE", raising=False)
-        set_match_confidence(0.65)
-        try:
+        with runtime_session(match_confidence=0.65):
+            with runtime_session(jobs=2):
+                assert resolve_match_confidence() == 0.65
+            with runtime_session(match_confidence=0.9):
+                assert resolve_match_confidence() == 0.9
             assert resolve_match_confidence() == 0.65
-        finally:
-            set_match_confidence(None)
         assert resolve_match_confidence() == 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, 1.5])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(CacheError):
-            set_match_confidence(bad)
+            with runtime_session(match_confidence=bad):
+                pass
         with pytest.raises(CacheError):
             resolve_match_confidence(bad)
 

@@ -14,6 +14,7 @@ from repro.core.pipeline import (
 )
 from repro.core.weights import phase_weights
 from repro.errors import ReproError
+from repro.execution.trace import clear_trace_memo
 from repro.observability import metrics
 from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
@@ -247,6 +248,24 @@ class TestRuntimeConfig:
         with pytest.raises(ReproError):
             resolve_jobs()
 
+    def test_session_arguments_beat_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        with runtime_session(jobs=4):
+            assert resolve_jobs() == 4
+            with runtime_session(cache=None):
+                assert resolve_jobs() == 4  # inherited, not re-read
+
+    def test_session_without_cache_keeps_environment_cache(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert active_cache().root == tmp_path
+        with runtime_session(jobs=4):
+            assert active_cache().root == tmp_path
+        with runtime_session(cache=None):
+            assert active_cache() is None
+
 
 class TestCachedProfiles:
     def test_callbranch_profile_roundtrip(self, micro_binary_32u,
@@ -292,16 +311,12 @@ class TestCachedProfiles:
 
 class TestCrossPipelineCaching:
     def test_cached_run_bit_identical_and_faster(self, micro_binary_list,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path):
         # Scale the input (and the interval size with it, so the
-        # interval count stays put) until execution-engine work
-        # dominates, and shrink the k sweep — clustering is never
-        # cached, so it sets the warm-run floor. Pin the scalar
-        # profiling path: trace replay makes cold runs nearly as fast
-        # as warm ones, which is exactly what this timing contract is
-        # *not* about (trace-path caching has its own tests in
-        # tests/test_trace_replay_equivalence.py).
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
+        # interval count stays put) until the execution-engine walk
+        # that compiles each binary's trace dominates, and shrink the
+        # k sweep. The cold run starts without the in-process trace
+        # memo, so it pays for those walks; the warm run needs none.
         config = CrossBinaryConfig(
             interval_size=MICRO_INTERVAL * 40,
             program_input=ProgramInput(name="speedup", scale=40.0),
@@ -310,6 +325,7 @@ class TestCrossPipelineCaching:
         baseline = run_cross_binary_simpoint(micro_binary_list, config)
 
         cache = ProfileCache(tmp_path)
+        clear_trace_memo()
         start = time.perf_counter()
         cold = run_cross_binary_simpoint(
             micro_binary_list, config, cache=cache
@@ -322,7 +338,11 @@ class TestCrossPipelineCaching:
             micro_binary_list, config, cache=cache
         )
         warm_elapsed = time.perf_counter() - start
-        assert cache.stats.hits == cache.stats.misses
+        # Every profile the cold run stored is served warm; the traces
+        # it compiled on the way are not even looked up.
+        for kind, row in cache.stats.by_kind.items():
+            expected = 0 if kind == "trace" else row.misses
+            assert row.hits == expected, kind
 
         assert baseline == cold == warm
         # Warm runs skip every execution-engine pass; only clustering

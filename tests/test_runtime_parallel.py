@@ -13,7 +13,8 @@ from repro.core.pipeline import (
 )
 from repro.errors import ReproError, SimulationError
 from repro.observability import metrics
-from repro.runtime import parallel_map, runtime_session
+from repro.programs.inputs import TEST_INPUT
+from repro.runtime import ProfileCache, parallel_map, runtime_session
 from repro.runtime import parallel
 from repro.simpoint.simpoint import SimPointConfig
 
@@ -275,3 +276,30 @@ class TestExperimentRunnerParallel:
         finally:
             runner._CACHE.clear()
             runner._CACHE.update(saved)
+
+
+class TestOptionsReachWorkers:
+    def test_suite_workers_keep_the_sessions_threshold(self, tmp_path):
+        from repro.experiments import runner
+
+        config = runner.ExperimentConfig(
+            program_input=TEST_INPUT,
+            interval_size=40_000,
+            simpoint=_FAST_SIMPOINT,
+        )
+        cache = ProfileCache(tmp_path)
+        saved = dict(runner._CACHE)
+        try:
+            runner.clear_cache()
+            with runtime_session(
+                jobs=2, cache=cache, match_confidence=0.7
+            ):
+                runs = runner.run_suite(["art", "swim"], config)
+        finally:
+            runner._CACHE.clear()
+            runner._CACHE.update(saved)
+        for run in runs.values():
+            assert run.cross.match_report.confidence_threshold == 0.7
+            assert run.cross.marker_set.fuzzy_points()
+        # The workers' cache statistics are folded into the parent's.
+        assert cache.stats.misses > 0

@@ -1,10 +1,10 @@
 """Content-keyed reuse of detailed-simulation results.
 
 Covers the key schema (stability and sensitivity), full-run and
-per-region reuse with bit-identity against the uncached path, the
-escape hatches, sweep-level reuse (warm re-runs and resuming a sweep
-killed mid-run), and the observability surface (manifest sim block,
-ledger flattening, drift gate).
+per-region reuse with bit-identity against a fresh cache directory or
+the uncached path, sweep-level reuse (warm re-runs and resuming a
+sweep killed mid-run), and the observability surface (manifest sim
+block, ledger flattening, drift gate).
 """
 
 import dataclasses
@@ -212,54 +212,21 @@ class TestCachedFullRun:
             vli_table=table,
             vli_boundaries=boundaries,
         )
-        direct = cached_full_run(binary, use_sim_cache=False, **kwargs)
-        cache = ProfileCache(tmp_path)
+        fresh = cached_full_run(
+            binary, cache=ProfileCache(tmp_path / "fresh"), **kwargs
+        )
+        cache = ProfileCache(tmp_path / "warm")
         with metrics.scoped_registry() as local:
             cold = cached_full_run(binary, cache=cache, **kwargs)
             warm = cached_full_run(binary, cache=cache, **kwargs)
-        assert isinstance(direct, TrackedRun)
-        assert pickle.dumps(direct) == pickle.dumps(cold)
-        assert pickle.dumps(direct) == pickle.dumps(warm)
+        assert isinstance(fresh, TrackedRun)
+        assert pickle.dumps(fresh) == pickle.dumps(cold)
+        assert pickle.dumps(fresh) == pickle.dumps(warm)
         row = cache.stats.by_kind[SIMRESULT_KIND]
         assert (row.hits, row.misses) == (1, 1)
         counters = local.snapshot()["counters"]
         assert counters["cache.sim.hits"] == 1
         assert counters["cache.sim.misses"] == 1
-
-    def test_batched_flag_is_not_part_of_the_key(self, micro_binary_32u,
-                                                 tmp_path):
-        cache = ProfileCache(tmp_path)
-        batched = cached_full_run(
-            micro_binary_32u, fli_interval_size=MICRO_INTERVAL,
-            cache=cache, batched=True,
-        )
-        scalar = cached_full_run(
-            micro_binary_32u, fli_interval_size=MICRO_INTERVAL,
-            cache=cache, batched=False,
-        )
-        assert pickle.dumps(batched) == pickle.dumps(scalar)
-        row = cache.stats.by_kind[SIMRESULT_KIND]
-        assert (row.hits, row.misses) == (1, 1)
-
-    def test_escape_hatches_disable_reuse(self, micro_binary_32u,
-                                          tmp_path, monkeypatch):
-        cache = ProfileCache(tmp_path)
-        kwargs = dict(fli_interval_size=MICRO_INTERVAL, cache=cache)
-        # Per-call veto.
-        cached_full_run(micro_binary_32u, use_sim_cache=False, **kwargs)
-        assert SIMRESULT_KIND not in cache.stats.by_kind
-        # Process default (the CLI's --no-sim-cache lands here).
-        with runtime_session(sim_cache=False):
-            cached_full_run(micro_binary_32u, **kwargs)
-        assert SIMRESULT_KIND not in cache.stats.by_kind
-        # Environment veto.
-        monkeypatch.setenv("REPRO_NO_SIM_CACHE", "1")
-        cached_full_run(micro_binary_32u, **kwargs)
-        assert SIMRESULT_KIND not in cache.stats.by_kind
-        monkeypatch.delenv("REPRO_NO_SIM_CACHE")
-        # And with every hatch open, reuse resumes.
-        cached_full_run(micro_binary_32u, **kwargs)
-        assert cache.stats.by_kind[SIMRESULT_KIND].misses == 1
 
 
 class TestCachedRegionRun:
