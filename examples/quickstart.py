@@ -19,7 +19,7 @@ import argparse
 
 from repro import build_benchmark, compile_program
 from repro.analysis.estimate import estimate_from_points
-from repro.cmpsim.simcache import cached_full_run
+from repro.cmpsim.simcache import TrackerRequest, cached_full_run
 from repro.cmpsim.simulator import IntervalStats
 from repro.compilation.targets import TARGET_32U
 from repro.observability import observe, trace
@@ -67,7 +67,9 @@ def run(session=None) -> None:
     # repeat run reuses the sim result instead of re-simulating, with
     # byte-identical output either way.
     with trace.span("simulate"):
-        tracked = cached_full_run(binary, fli_interval_size=INTERVAL_SIZE)
+        (tracked,) = cached_full_run(
+            binary, [TrackerRequest(fli_interval_size=INTERVAL_SIZE)]
+        )
         stats = tracked.stats
     print(f"\nfull simulation: {stats.instructions:,} instructions, "
           f"CPI {stats.cpi:.3f}")

@@ -28,8 +28,8 @@ Commands
 ``sweep <benchmark> [--sizes N,N,...]``
     Run the full experiment at each interval size and print one row
     per size: interval count, chosen k, and average FLI/VLI CPI and
-    speedup errors. Detailed-simulation results land in the profile
-    cache as they finish, so re-running a killed sweep against the
+    speedup errors. Each binary is simulated once for all sizes, and
+    the results land in the profile cache as they finish, so re-running a killed sweep against the
     same ``--cache-dir`` resumes from them.
 
 Matching
@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="interval-size sweep: one full experiment per size",
+        help="interval-size sweep: the full experiment at each size",
         parents=[common],
     )
     sweep.add_argument("benchmark", choices=benchmark_names())

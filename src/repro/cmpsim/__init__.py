@@ -45,6 +45,7 @@ from repro.cmpsim.simulator import (
 from repro.cmpsim.simcache import (
     SIMRESULT_KIND,
     TrackedRun,
+    TrackerRequest,
     cached_full_run,
     cached_region_run,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "regions_from_mapped_points",
     "SIMRESULT_KIND",
     "TrackedRun",
+    "TrackerRequest",
     "cached_full_run",
     "cached_region_run",
 ]

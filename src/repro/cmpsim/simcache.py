@@ -7,9 +7,13 @@ module keys detailed results by *content* and stores them as a
 dedicated :data:`SIMRESULT_KIND` kind in the
 :class:`~repro.runtime.cache.ProfileCache`:
 
-* :func:`cached_full_run` — one entry per tracked full run, keyed by
-  (binary content, memory config, program input, tracker parameters).
-  This is the unit the experiment runner repeats across sweeps.
+* :func:`cached_full_run` — one entry per tracker request of a full
+  run, keyed by (binary content, memory config, program input, tracker
+  parameters). The cycles of a full run do not depend on where its
+  intervals are cut, so every request that misses rides *one*
+  detailed simulation: an interval-size sweep simulates each binary
+  once, not once per size, and each size's result still lands under
+  its own key.
 * :func:`cached_region_run` — one entry *per region* of a
   PinPoints-style sampled run. Region ``i``'s key covers the region
   list prefix ``regions[0..i]`` plus the warmup policy, because a
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cmpsim.config import MemoryConfig, TABLE1_CONFIG
 from repro.cmpsim.simulator import (
@@ -62,17 +66,29 @@ _SIM_COUNTER_KEYS = ("hits", "misses", "stale_evictions")
 
 @dataclass(frozen=True)
 class TrackedRun:
-    """A full detailed run plus its tracker interval breakdowns.
+    """A full detailed run plus one request's interval breakdowns.
 
     This is the cacheable unit of :func:`cached_full_run`: everything
-    the experiment runner consumes from one ``run_full`` call, with
-    the (stateful, unpicklable-by-contract) tracker objects reduced to
-    their interval tuples.
+    the experiment runner consumes from one tracker request on a
+    ``run_full`` call, with the (stateful, unpicklable-by-contract)
+    tracker objects reduced to their interval tuples.
     """
 
     stats: SimulationStats
     fli_intervals: Tuple[IntervalStats, ...] = ()
     vli_intervals: Tuple[IntervalStats, ...] = ()
+
+
+class TrackerRequest(NamedTuple):
+    """The interval structures one :class:`TrackedRun` reports.
+
+    ``fli_interval_size`` attaches an :class:`FLITracker`; ``vli_table``
+    attaches a :class:`VLITracker` cutting at ``vli_boundaries``.
+    """
+
+    fli_interval_size: Optional[int] = None
+    vli_table: Optional[MarkerTable] = None
+    vli_boundaries: Optional[Sequence[ExecutionCoordinate]] = None
 
 
 def full_run_key(
@@ -154,57 +170,83 @@ def _mirror_sim_counters(cache: ProfileCache) -> Iterator[None]:
                 metrics.counter(f"cache.sim.{key}").inc(new - old)
 
 
-def cached_full_run(
+def _simulate(
     binary,
-    *,
-    memory: MemoryConfig = TABLE1_CONFIG,
-    program_input: ProgramInput = REF_INPUT,
-    fli_interval_size: Optional[int] = None,
-    vli_table: Optional[MarkerTable] = None,
-    vli_boundaries: Optional[Sequence[ExecutionCoordinate]] = None,
-    cache: Optional[ProfileCache] = None,
-) -> TrackedRun:
-    """A full detailed run with FLI/VLI trackers, cached by content."""
-
-    def compute() -> TrackedRun:
-        trackers = []
-        fli = (
-            FLITracker(fli_interval_size)
-            if fli_interval_size is not None
-            else None
+    memory: MemoryConfig,
+    program_input: ProgramInput,
+    requests: Sequence[TrackerRequest],
+) -> List[TrackedRun]:
+    """One ``run_full`` with every request's trackers attached."""
+    attached = [
+        (
+            FLITracker(request.fli_interval_size)
+            if request.fli_interval_size is not None
+            else None,
+            VLITracker(request.vli_table, tuple(request.vli_boundaries or ()))
+            if request.vli_table is not None
+            else None,
         )
-        if fli is not None:
-            trackers.append(fli)
-        vli = (
-            VLITracker(vli_table, tuple(vli_boundaries or ()))
-            if vli_table is not None
-            else None
+        for request in requests
+    ]
+    result = CMPSim(binary, memory, program_input).run_full(
+        trackers=tuple(
+            tracker
+            for pair in attached
+            for tracker in pair
+            if tracker is not None
         )
-        if vli is not None:
-            trackers.append(vli)
-        result = CMPSim(binary, memory, program_input).run_full(
-            trackers=tuple(trackers)
-        )
-        return TrackedRun(
+    )
+    return [
+        TrackedRun(
             stats=result.stats,
             fli_intervals=tuple(fli.intervals) if fli is not None else (),
             vli_intervals=tuple(vli.intervals) if vli is not None else (),
         )
+        for fli, vli in attached
+    ]
 
+
+def cached_full_run(
+    binary,
+    requests: Sequence[TrackerRequest],
+    *,
+    memory: MemoryConfig = TABLE1_CONFIG,
+    program_input: ProgramInput = REF_INPUT,
+    cache: Optional[ProfileCache] = None,
+) -> List[TrackedRun]:
+    """Full detailed runs for several tracker requests, cached by content.
+
+    Each request is probed under its own :func:`full_run_key`. All the
+    requests that miss share a single ``run_full`` (trackers only
+    observe the run, so each one's intervals are the same as on a run
+    of its own), and only the missing entries are written back; hit
+    entries keep their cached values. Returns one :class:`TrackedRun`
+    per request, in request order.
+    """
+    requests = [TrackerRequest(*request) for request in requests]
     if cache is None:
         cache = active_cache()
     if cache is None:
-        return compute()
-    key = full_run_key(
-        binary,
-        memory,
-        program_input,
-        fli_interval_size,
-        vli_table,
-        vli_boundaries,
-    )
+        return _simulate(binary, memory, program_input, requests)
+    keys = [
+        full_run_key(binary, memory, program_input, *request)
+        for request in requests
+    ]
     with _mirror_sim_counters(cache):
-        return cache.get_or_compute(SIMRESULT_KIND, key, compute)
+        probes = [cache.lookup(SIMRESULT_KIND, key) for key in keys]
+    runs = [value for _, value in probes]
+    missing = [index for index, (found, _) in enumerate(probes) if not found]
+    if missing:
+        fresh = _simulate(
+            binary,
+            memory,
+            program_input,
+            [requests[index] for index in missing],
+        )
+        for index, run in zip(missing, fresh):
+            cache.store(SIMRESULT_KIND, keys[index], run)
+            runs[index] = run
+    return runs
 
 
 def cached_region_run(

@@ -173,6 +173,7 @@ class VLITracker:
         self._cur = IntervalStats()
         self.intervals: List[IntervalStats] = []
         self.binary_name = table.binary_name
+        self.total_cycles = 0.0
 
     def _close(self) -> None:
         self.intervals.append(self._cur)
@@ -187,6 +188,7 @@ class VLITracker:
         cycles: float,
         dram: float = 0.0,
     ) -> None:
+        self.total_cycles += cycles
         marker_id = self._block_to_marker.get(block_id)
         if marker_id is None:
             self._cur.instructions += instructions
@@ -227,6 +229,14 @@ class VLITracker:
             )
         self.intervals.append(self._cur)
         self._cur = IntervalStats()
+        tracked = sum(interval.cycles for interval in self.intervals)
+        if not math.isclose(
+            tracked, self.total_cycles, rel_tol=1e-9, abs_tol=1e-6
+        ):
+            raise SimulationError(
+                f"{self.binary_name}: VLI tracker lost cycles: saw "
+                f"{self.total_cycles}, attributed {tracked}"
+            )
 
 
 @dataclass(frozen=True)
@@ -948,8 +958,9 @@ class CMPSim:
         ``batched=False`` forces the scalar reference-at-a-time path;
         both paths produce bit-identical results (the equivalence tests
         enforce this), so the flag exists for oracle checks and
-        benchmarking.
+        benchmarking. Every call counts once in ``cmpsim.full_runs``.
         """
+        metrics.counter("cmpsim.full_runs").inc()
         hierarchy = MemoryHierarchy(self._config)
         consumer = _DetailedConsumer(
             self._binary, hierarchy, self._cpi_model, trackers, batched

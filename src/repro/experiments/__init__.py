@@ -32,6 +32,7 @@ from repro.experiments.runner import (
     BinaryOutcome,
     ExperimentConfig,
     run_benchmark,
+    run_benchmark_sizes,
     run_suite,
 )
 from repro.experiments.sweeps import (
@@ -63,6 +64,7 @@ __all__ = [
     "BinaryOutcome",
     "ExperimentConfig",
     "run_benchmark",
+    "run_benchmark_sizes",
     "run_suite",
     "sweep_early_tolerance",
     "sweep_interval_sizes",

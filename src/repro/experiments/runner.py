@@ -13,6 +13,13 @@ For one benchmark, :func:`run_benchmark`:
    warm-fast-forward region simulation of every interval);
 5. derives both methods' whole-program estimates per binary.
 
+:func:`run_benchmark_sizes` is the same path for several configs that
+differ only in ``interval_size``: it builds and compiles once, runs
+steps 2 and 3 per size, and in step 4 attaches *every* size's FLI and
+VLI trackers to the one detailed simulation per binary, since the
+cycles of a run do not depend on where its intervals are cut.
+:func:`run_benchmark` is its one-config case.
+
 Results are cached in-process keyed by (benchmark, config), since every
 figure and table consumes the same runs.
 """
@@ -20,11 +27,11 @@ figure and table consumes the same runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.estimate import MethodEstimate, estimate_from_points
 from repro.cmpsim.config import MemoryConfig, TABLE1_CONFIG
-from repro.cmpsim.simcache import cached_full_run
+from repro.cmpsim.simcache import TrackerRequest, cached_full_run
 from repro.cmpsim.simulator import IntervalStats, SimulationStats
 from repro.compilation.binary import Binary
 from repro.compilation.compiler import compile_standard_binaries
@@ -209,42 +216,61 @@ def _vli_estimate(
 
 
 def _outcome_task(task):
-    """Worker: one binary's full measurement (profile + detailed sim)."""
-    target, binary, cross, config = task
-    fli_profile = collect_fli_bbvs(
-        binary, config.interval_size, config.program_input
-    )
-    fli_simpoint = run_simpoint(fli_profile, config.simpoint)
+    """Worker: one binary's measurements at every requested size
+    (profile + FLI SimPoint per size, one detailed simulation)."""
+    target, binary, settings = task
+    memory = settings[0][1].memory
+    program_input = settings[0][1].program_input
+    fli_profiles = [
+        collect_fli_bbvs(binary, config.interval_size, program_input)
+        for _, config in settings
+    ]
+    fli_simpoints = [
+        run_simpoint(profile, config.simpoint)
+        for profile, (_, config) in zip(fli_profiles, settings)
+    ]
 
     # The detailed simulation — the dominant repeated cost of a sweep —
-    # is keyed by content and reused across runs whenever a cache is
-    # active.
-    tracked = cached_full_run(
+    # runs once for all sizes, and each size's result is keyed by
+    # content and reused across runs whenever a cache is active.
+    tracked_runs = cached_full_run(
         binary,
-        memory=config.memory,
-        program_input=config.program_input,
-        fli_interval_size=config.interval_size,
-        vli_table=cross.marker_set.table_for(binary.name),
-        vli_boundaries=cross.boundaries,
+        [
+            TrackerRequest(
+                config.interval_size,
+                cross.marker_set.table_for(binary.name),
+                cross.boundaries,
+            )
+            for cross, config in settings
+        ],
+        memory=memory,
+        program_input=program_input,
     )
-    stats = tracked.stats
 
-    outcome = BinaryOutcome(
-        target=target,
-        binary_name=binary.name,
-        stats=stats,
-        fli_intervals=tracked.fli_intervals,
-        vli_intervals=tracked.vli_intervals,
-        fli_simpoint=fli_simpoint,
-        fli_estimate=_fli_estimate(
-            binary, fli_profile, fli_simpoint, tracked.fli_intervals, stats
-        ),
-        vli_estimate=_vli_estimate(
-            binary, cross, tracked.vli_intervals, stats
-        ),
-        vli_weights=cross.weights_for(binary.name),
+    return tuple(
+        BinaryOutcome(
+            target=target,
+            binary_name=binary.name,
+            stats=tracked.stats,
+            fli_intervals=tracked.fli_intervals,
+            vli_intervals=tracked.vli_intervals,
+            fli_simpoint=fli_simpoint,
+            fli_estimate=_fli_estimate(
+                binary,
+                fli_profile,
+                fli_simpoint,
+                tracked.fli_intervals,
+                tracked.stats,
+            ),
+            vli_estimate=_vli_estimate(
+                binary, cross, tracked.vli_intervals, tracked.stats
+            ),
+            vli_weights=cross.weights_for(binary.name),
+        )
+        for (cross, _), fli_profile, fli_simpoint, tracked in zip(
+            settings, fli_profiles, fli_simpoints, tracked_runs
+        )
     )
-    return outcome
 
 
 def _annotate_session(run: BenchmarkRun) -> None:
@@ -359,52 +385,104 @@ def run_benchmark(
     configuration; serial unless configured otherwise). Results are
     bit-identical to a serial run.
     """
-    config = config or ExperimentConfig()
-    key = (name, config.cache_key())
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    record_config(config.cache_key())
+    return run_benchmark_sizes(
+        name, [config or ExperimentConfig()], jobs=jobs
+    )[0]
+
+
+def run_benchmark_sizes(
+    name: str,
+    configs: Sequence[ExperimentConfig],
+    *,
+    jobs: Optional[int] = None,
+) -> List[BenchmarkRun]:
+    """Run (or fetch from cache) one benchmark under several configs
+    that differ only in ``interval_size``; one run per config, in order.
+
+    The binaries are built once and simulated once each: every size's
+    trackers ride the same detailed run. Each run is bit-identical to
+    :func:`run_benchmark` on its config alone, and lands in the same
+    in-process memo.
+    """
+    if not configs:
+        raise SimulationError(f"{name}: no experiment configs given")
+    first = configs[0]
+    for config in configs:
+        if replace(config, interval_size=first.interval_size) != first:
+            raise SimulationError(
+                f"{name}: configs of one run may differ only in "
+                "interval_size"
+            )
+    keys = [(name, config.cache_key()) for config in configs]
+    pending = {
+        key: config
+        for key, config in zip(keys, configs)
+        if key not in _CACHE
+    }
+    if pending:
+        runs = _run_sizes(name, list(pending.values()), jobs)
+        for key, run in zip(pending, runs):
+            _annotate_session(run)
+            _CACHE[key] = run
+    return [_CACHE[key] for key in keys]
+
+
+def _run_sizes(
+    name: str, configs: List[ExperimentConfig], jobs: Optional[int]
+) -> List[BenchmarkRun]:
+    """The experiment itself, for configs not yet in the memo."""
+    record_config(configs[0].cache_key())
+    targets = configs[0].targets
 
     with trace.span("build", benchmark=name):
         program = build_benchmark(name)
-        binaries = compile_standard_binaries(program, config.targets)
-        ordered = [binaries[target] for target in config.targets]
+        binaries = compile_standard_binaries(program, targets)
+        ordered = [binaries[target] for target in targets]
 
-    with trace.span("cross_binary", benchmark=name):
-        cross = run_cross_binary_simpoint(
-            ordered,
-            CrossBinaryConfig(
-                interval_size=config.interval_size,
-                simpoint=config.simpoint,
-                program_input=config.program_input,
-                primary_index=config.primary_index,
-                enable_signature_recovery=config.enable_signature_recovery,
-                match_confidence=config.match_confidence,
-            ),
-            jobs=jobs,
-        )
+    crosses = []
+    for config in configs:
+        with trace.span(
+            "cross_binary",
+            benchmark=name,
+            interval_size=config.interval_size,
+        ):
+            crosses.append(
+                run_cross_binary_simpoint(
+                    ordered,
+                    CrossBinaryConfig(
+                        interval_size=config.interval_size,
+                        simpoint=config.simpoint,
+                        program_input=config.program_input,
+                        primary_index=config.primary_index,
+                        enable_signature_recovery=(
+                            config.enable_signature_recovery
+                        ),
+                        match_confidence=config.match_confidence,
+                    ),
+                    jobs=jobs,
+                )
+            )
 
-    with trace.span("outcomes", benchmark=name):
+    with trace.span("outcomes", benchmark=name, settings=len(configs)):
+        settings = tuple(zip(crosses, configs))
         results = parallel_map(
             _outcome_task,
-            [
-                (target, binaries[target], cross, config)
-                for target in config.targets
-            ],
+            [(target, binaries[target], settings) for target in targets],
             jobs=jobs,
         )
-        outcomes: Dict[str, BinaryOutcome] = {
-            target.label: outcome
-            for target, outcome in zip(config.targets, results)
-        }
 
-    run = BenchmarkRun(
-        name=name, config=config, cross=cross, outcomes=outcomes
-    )
-    _annotate_session(run)
-    _CACHE[key] = run
-    return run
+    return [
+        BenchmarkRun(
+            name=name,
+            config=config,
+            cross=cross,
+            outcomes={
+                target.label: outcomes[index]
+                for target, outcomes in zip(targets, results)
+            },
+        )
+        for index, (cross, config) in enumerate(settings)
+    ]
 
 
 def _benchmark_task(task):

@@ -9,13 +9,17 @@ runner's cached results.
 Design note: sweeps that only change *clustering* parameters (maxK,
 early tolerance) re-cluster the primary profile and re-derive
 estimates from the cached detailed-simulation statistics, so they cost
-milliseconds; sweeps that change the *interval structure* (interval
-size) must re-run the full experiment per setting. Those full
-experiments consult the content-keyed sim-result cache
-(:mod:`repro.cmpsim.simcache`) through the runner, so a re-run sweep
-only re-simulates cells whose inputs actually changed, a warm sweep
-costs profiling plus clustering only, and a sweep killed mid-run
-resumes from the detailed simulations it had already stored.
+milliseconds. Sweeps that change the *interval structure* (interval
+size) re-run profiling and clustering per setting, but not detailed
+simulation: the runner attaches every size's trackers to one detailed
+run per binary (:func:`~repro.experiments.runner.run_benchmark_sizes`),
+because the cycles of a run do not depend on where its intervals are
+cut. Each size's result is still stored under its own key in the
+content-keyed sim-result cache (:mod:`repro.cmpsim.simcache`), so a
+warm sweep costs profiling plus clustering only, a sweep that adds a
+size simulates each binary once for the new size alone, and a sweep
+killed mid-run resumes from the detailed simulations it had already
+stored.
 """
 
 from __future__ import annotations
@@ -32,11 +36,8 @@ from repro.observability import trace
 from repro.experiments.runner import (
     BenchmarkRun,
     ExperimentConfig,
-    _benchmark_task,
-    remember_run,
-    run_benchmark,
+    run_benchmark_sizes,
 )
-from repro.runtime.config import resolve_jobs
 from repro.runtime.parallel import parallel_map
 from repro.simpoint.early import run_early_simpoint
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
@@ -65,36 +66,24 @@ def sweep_interval_sizes(
 ) -> Dict[int, IntervalSizeSweepPoint]:
     """Run the full experiment at several interval sizes.
 
-    Each size is an independent full experiment, so with ``jobs`` > 1
-    the settings fan out over worker processes; finished runs land in
-    the runner's in-process memo either way.
+    One runner call covers every size, simulating each binary once;
+    with ``jobs`` > 1 the per-binary work fans out over worker
+    processes. Finished runs land in the runner's in-process memo.
     """
     if not sizes:
         raise SimulationError("no interval sizes given")
     base_config = base_config or ExperimentConfig()
     results: Dict[int, IntervalSizeSweepPoint] = {}
     baseline, improved = speedup_pair
-    runs_by_size: Dict[int, BenchmarkRun] = {}
     with trace.span(
         "sweep_interval_sizes", benchmark=benchmark, settings=len(sizes)
     ):
-        if resolve_jobs(jobs) > 1 and len(sizes) > 1:
-            task_results = parallel_map(
-                _benchmark_task,
-                [
-                    (benchmark, replace(base_config, interval_size=size))
-                    for size in sizes
-                ],
-                jobs=jobs,
-            )
-            for size, run in zip(sizes, task_results):
-                remember_run(run)
-                runs_by_size[size] = run
-        for size in sizes:
-            run = runs_by_size.get(size) or run_benchmark(
-                benchmark, replace(base_config, interval_size=size),
-                jobs=jobs,
-            )
+        runs = run_benchmark_sizes(
+            benchmark,
+            [replace(base_config, interval_size=size) for size in sizes],
+            jobs=jobs,
+        )
+        for size, run in zip(sizes, runs):
             fli = pair_speedup_error(run, "fli", baseline, improved)
             vli = pair_speedup_error(run, "vli", baseline, improved)
             results[size] = IntervalSizeSweepPoint(

@@ -158,6 +158,15 @@ class TestVLITracker:
         with pytest.raises(SimulationError, match="never fired"):
             CMPSim(micro_binary_32u).run_full(trackers=(vli,))
 
+    def test_finish_asserts_cycle_conservation(
+        self, micro_binary_32u, marker_set
+    ):
+        vli = VLITracker(marker_set.table_for(micro_binary_32u.name), [])
+        vli.on_chunk(-1, 1, 5, 5.0)
+        vli.total_cycles += 100.0  # simulate lost accounting
+        with pytest.raises(SimulationError, match="lost cycles"):
+            vli.finish()
+
 
 class TestRegionSimulation:
     @pytest.fixture(scope="class")

@@ -1,9 +1,19 @@
 """Tests for repro.experiments.sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.experiments.runner import ExperimentConfig, run_benchmark
+from repro.experiments.runner import (
+    ExperimentConfig,
+    clear_cache,
+    run_benchmark,
+    run_benchmark_sizes,
+)
+from repro.observability import metrics
+from repro.runtime import ProfileCache, runtime_session
+from repro.simpoint.simpoint import SimPointConfig
 from repro.experiments.sweeps import (
     sweep_early_tolerance,
     sweep_interval_sizes,
@@ -65,3 +75,78 @@ class TestIntervalSizeSweep:
     def test_rejects_empty(self):
         with pytest.raises(SimulationError):
             sweep_interval_sizes("art", ())
+
+
+_FAST_CONFIG = ExperimentConfig(
+    interval_size=40_000, simpoint=SimPointConfig(max_k=3, n_init=2)
+)
+_SIZES = (30_000, 60_000)
+
+
+def _tables(run):
+    """Every measured figure of a run, compared exactly (floats too)."""
+    return (
+        run.cross.simpoint.k,
+        [(p.cluster, p.interval_index) for p in run.cross.mapped_points],
+        {
+            label: (
+                outcome.stats,
+                outcome.fli_intervals,
+                outcome.vli_intervals,
+                outcome.fli_simpoint.points,
+                outcome.fli_estimate,
+                outcome.vli_estimate,
+                dict(outcome.vli_weights),
+            )
+            for label, outcome in run.outcomes.items()
+        },
+    )
+
+
+def _sweep(cache):
+    """A fresh-memo art sweep on a cache: (points, runs, counters)."""
+    clear_cache()
+    with runtime_session(cache=cache), \
+            metrics.scoped_registry() as registry:
+        points = sweep_interval_sizes("art", _SIZES, _FAST_CONFIG, jobs=1)
+        runs = run_benchmark_sizes(
+            "art",
+            [replace(_FAST_CONFIG, interval_size=size) for size in _SIZES],
+        )
+    clear_cache()
+    return points, runs, registry.snapshot()["counters"]
+
+
+class TestOneSimulationPerBinary:
+    def test_sweep_simulates_each_binary_once(self, tmp_path):
+        points, runs, cold = _sweep(ProfileCache(tmp_path / "sweep"))
+        # 4 binaries x 2 sizes, every size's trackers on one run each.
+        assert cold["cmpsim.full_runs"] == 4
+        assert cold["cache.sim.misses"] == 8
+
+        for size, run in zip(_SIZES, runs):
+            clear_cache()
+            config = replace(_FAST_CONFIG, interval_size=size)
+            with runtime_session(cache=ProfileCache(tmp_path / str(size))):
+                alone = run_benchmark("art", config, jobs=1)
+                point = sweep_interval_sizes("art", [size], config)[size]
+            clear_cache()
+            assert _tables(run) == _tables(alone)
+            assert points[size] == point
+
+        warm_points, warm_runs, warm = _sweep(
+            ProfileCache(tmp_path / "sweep")
+        )
+        assert warm.get("cmpsim.full_runs", 0) == 0
+        assert warm["cache.sim.hits"] == 8
+        assert warm_points == points
+        assert [_tables(run) for run in warm_runs] == [
+            _tables(run) for run in runs
+        ]
+
+    def test_configs_may_differ_only_in_interval_size(self):
+        with pytest.raises(SimulationError, match="interval_size"):
+            run_benchmark_sizes(
+                "art",
+                [_FAST_CONFIG, replace(_FAST_CONFIG, primary_index=1)],
+            )

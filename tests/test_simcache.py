@@ -23,12 +23,13 @@ from repro.cmpsim.config import TABLE1_CONFIG
 from repro.cmpsim.simcache import (
     SIMRESULT_KIND,
     TrackedRun,
+    TrackerRequest,
     cached_full_run,
     cached_region_run,
     full_run_key,
     region_run_keys,
 )
-from repro.cmpsim.simulator import CMPSim, RegionSpec
+from repro.cmpsim.simulator import CMPSim, FLITracker, RegionSpec, VLITracker
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.errors import SimulationError
@@ -201,24 +202,40 @@ class TestKeySchema:
         )
 
 
+def _boundaries(intervals):
+    return tuple(interval.start_coord for interval in intervals[1:])
+
+
+class _SpyCache(ProfileCache):
+    """A ProfileCache that records the key material it probes/stores."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.probed = []
+        self.stored = []
+
+    def lookup(self, kind, key_material):
+        self.probed.append(key_material)
+        return super().lookup(kind, key_material)
+
+    def store(self, kind, key_material, value):
+        self.stored.append(key_material)
+        super().store(kind, key_material, value)
+
+
 class TestCachedFullRun:
     def test_warm_run_bit_identical_and_counted(self, marked, tmp_path):
         binary, table, intervals = marked
-        boundaries = tuple(
-            interval.start_coord for interval in intervals[1:]
-        )
-        kwargs = dict(
-            fli_interval_size=MICRO_INTERVAL,
-            vli_table=table,
-            vli_boundaries=boundaries,
-        )
-        fresh = cached_full_run(
-            binary, cache=ProfileCache(tmp_path / "fresh"), **kwargs
+        requests = [
+            TrackerRequest(MICRO_INTERVAL, table, _boundaries(intervals))
+        ]
+        (fresh,) = cached_full_run(
+            binary, requests, cache=ProfileCache(tmp_path / "fresh")
         )
         cache = ProfileCache(tmp_path / "warm")
         with metrics.scoped_registry() as local:
-            cold = cached_full_run(binary, cache=cache, **kwargs)
-            warm = cached_full_run(binary, cache=cache, **kwargs)
+            (cold,) = cached_full_run(binary, requests, cache=cache)
+            (warm,) = cached_full_run(binary, requests, cache=cache)
         assert isinstance(fresh, TrackedRun)
         assert pickle.dumps(fresh) == pickle.dumps(cold)
         assert pickle.dumps(fresh) == pickle.dumps(warm)
@@ -227,6 +244,87 @@ class TestCachedFullRun:
         counters = local.snapshot()["counters"]
         assert counters["cache.sim.hits"] == 1
         assert counters["cache.sim.misses"] == 1
+        assert counters["cmpsim.full_runs"] == 1
+
+    def test_batched_requests_probe_the_single_request_keys(
+        self, marked, tmp_path, monkeypatch
+    ):
+        binary, table, intervals = marked
+        boundaries = _boundaries(intervals)
+        sizes = (MICRO_INTERVAL, 2 * MICRO_INTERVAL)
+        # Fill the cache the way a single-request run always has: one
+        # run_full with one FLI and one VLI tracker, stored under
+        # full_run_key.
+        cache = _SpyCache(tmp_path)
+        keys, stored = [], []
+        for size in sizes:
+            fli, vli = FLITracker(size), VLITracker(table, boundaries)
+            result = CMPSim(binary).run_full(trackers=(fli, vli))
+            keys.append(full_run_key(
+                binary, TABLE1_CONFIG, REF_INPUT, size, table, boundaries
+            ))
+            stored.append(TrackedRun(
+                result.stats, tuple(fli.intervals), tuple(vli.intervals)
+            ))
+            cache.store(SIMRESULT_KIND, keys[-1], stored[-1])
+
+        def _bomb(self, *args, **kwargs):
+            raise AssertionError("a stored request was re-simulated")
+
+        monkeypatch.setattr(CMPSim, "run_full", _bomb)
+        runs = cached_full_run(
+            binary,
+            [TrackerRequest(size, table, boundaries) for size in sizes],
+            cache=cache,
+        )
+        assert [fingerprint(key) for key in cache.probed] == [
+            fingerprint(key) for key in keys
+        ]
+        assert [pickle.dumps(run) for run in runs] == [
+            pickle.dumps(run) for run in stored
+        ]
+
+    def test_one_size_prewarmed_simulates_once_for_the_rest(
+        self, marked, tmp_path
+    ):
+        binary, table, intervals = marked
+        boundaries = _boundaries(intervals)
+        requests = [
+            TrackerRequest(size, table, boundaries)
+            for size in (MICRO_INTERVAL, 2 * MICRO_INTERVAL,
+                         3 * MICRO_INTERVAL)
+        ]
+        singles = [
+            cached_full_run(
+                binary, [request],
+                cache=ProfileCache(tmp_path / f"single{index}"),
+            )[0]
+            for index, request in enumerate(requests)
+        ]
+        cache = _SpyCache(tmp_path / "batched")
+        cached_full_run(binary, requests[1:2], cache=cache)
+        entry = next((tmp_path / "batched" / SIMRESULT_KIND).glob("*/*.pkl"))
+        before = entry.read_bytes()
+        cache.stored.clear()
+        with metrics.scoped_registry() as local:
+            runs = cached_full_run(binary, requests, cache=cache)
+        counters = local.snapshot()["counters"]
+        assert counters["cmpsim.full_runs"] == 1
+        assert counters["cache.sim.hits"] == 1
+        assert counters["cache.sim.misses"] == 2
+        assert [fingerprint(key) for key in cache.stored] == [
+            fingerprint(full_run_key(
+                binary, TABLE1_CONFIG, REF_INPUT, *request
+            ))
+            for request in (requests[0], requests[2])
+        ]
+        assert entry.read_bytes() == before
+        assert [pickle.dumps(run) for run in runs] == [
+            pickle.dumps(run) for run in singles
+        ]
+        # Each size is its own interval structure of the same run.
+        assert len({run.stats for run in runs}) == 1
+        assert len({len(run.fli_intervals) for run in runs}) == 3
 
 
 class TestCachedRegionRun:
