@@ -5,6 +5,10 @@ random procedures, nested loops, calls, kernels with random behaviours
 and optimizer eligibility — but always valid (acyclic calls, non-empty
 bodies) and small enough that a full execution stays under ~300K
 instructions. Property tests run them through the entire pipeline.
+
+:func:`key_materials` generates nested cache-key material: every type
+the fingerprint encoder accepts, frozen dataclasses inside lists and
+tuples included.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ from typing import List
 
 from hypothesis import strategies as st
 
+from repro.cmpsim.simulator import RegionSpec
 from repro.programs.behaviors import (
+    AccessKind,
     blocked,
     pointer_chasing,
     random_access,
     stack_local,
     streaming,
 )
+from repro.programs.inputs import ProgramInput
 from repro.programs.ir import (
     Call,
     Compute,
@@ -142,3 +149,43 @@ def programs(draw) -> Program:
         entry="main",
     )
     return finalize_program(program)
+
+
+_coordinates = st.none() | st.tuples(st.integers(0, 99), st.integers(0, 9))
+
+_key_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=6),
+    st.floats(),
+    st.sampled_from(list(AccessKind)),
+    st.builds(
+        ProgramInput,
+        name=st.text(max_size=6),
+        scale=st.floats(min_value=0.01, max_value=100.0),
+    ),
+    st.builds(
+        RegionSpec,
+        label=st.integers(0, 9),
+        start=_coordinates,
+        end=_coordinates,
+    ),
+    _behaviors,
+)
+
+
+def key_materials():
+    """Nested key material: leaves inside lists, tuples, dicts and sets."""
+    return st.recursive(
+        _key_leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(
+                st.text(max_size=4) | st.integers(), children, max_size=3
+            ),
+            st.frozensets(st.integers() | st.text(max_size=4), max_size=4),
+        ),
+        max_leaves=12,
+    )

@@ -1,13 +1,20 @@
 """Tests for the runtime profile cache and content fingerprints."""
 
 import dataclasses
+import importlib
 import multiprocessing
 import os
 import pickle
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.cmpsim.config import TABLE1_CONFIG
+from repro.cmpsim.simcache import SIMRESULT_KIND, full_run_key
+from repro.compilation.compiler import compile_standard_binaries
+from repro.compilation.targets import TARGET_32O, TARGET_32U
 from repro.core.pipeline import (
     CrossBinaryConfig,
     run_cross_binary_simpoint,
@@ -20,12 +27,22 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.inputs import ProgramInput, REF_INPUT, TEST_INPUT
 from repro.runtime import ProfileCache, fingerprint, runtime_session
-from repro.runtime.cache import cache_from_root, merge_stats
+from repro.runtime.cache import (
+    CACHE_FORMAT_VERSION,
+    cache_from_root,
+    merge_stats,
+)
 from repro.runtime.config import active_cache, resolve_jobs
 from repro.runtime.fingerprint import FingerprintError
+from repro.simpoint.clustercache import CLUSTERING_KIND, clustering_key
 from repro.simpoint.simpoint import SimPointConfig
 
-from tests.conftest import MICRO_INTERVAL
+from tests.conftest import MICRO_INTERVAL, build_micro_program
+from tests.oracles import reference_fingerprint
+from tests.strategies import key_materials
+
+# The package re-exports the function under the submodule's name.
+fingerprint_module = importlib.import_module("repro.runtime.fingerprint")
 
 
 class TestFingerprint:
@@ -65,6 +82,143 @@ class TestFingerprint:
         with pytest.raises(FingerprintError):
             fingerprint(object())
         assert isinstance(FingerprintError("x"), ReproError)
+
+
+class TestGoldenDigests:
+    """Cache addresses pinned byte for byte: any change to the key
+    encoding orphans every existing cache directory, so it must fail
+    here first."""
+
+    def test_full_run_key(self, micro_binary_32u):
+        key = full_run_key(
+            micro_binary_32u, TABLE1_CONFIG, REF_INPUT, MICRO_INTERVAL,
+            None, None,
+        )
+        assert fingerprint(key) == (
+            "2264ca981946cd8e98d74d0f6949eb01"
+            "55a15e7272500717506c26fc1dfba010"
+        )
+        assert fingerprint(
+            SIMRESULT_KIND, CACHE_FORMAT_VERSION, list(key)
+        ) == (
+            "794fe9b7fd7ba951c0069475bf3ddf74"
+            "2d135c8bd2583516f125f3aa61136ca2"
+        )
+
+    def test_callbranch_key(self, micro_binary_32u):
+        assert fingerprint(
+            "callbranch", CACHE_FORMAT_VERSION, [micro_binary_32u, REF_INPUT]
+        ) == (
+            "c656dc9c94d81f6779c206ba7626c4be"
+            "ad5cbf0ecae39e11df562f72d8ff885d"
+        )
+
+    def test_clustering_key(self):
+        key = clustering_key(
+            np.arange(12, dtype=np.float64).reshape(4, 3) / 7.0,
+            np.array([0.1, 0.2, 0.3, 0.4]),
+            max_k=3, bic_threshold=0.9, n_init=5, max_iter=100, seed=0,
+            k_search="exhaustive",
+        )
+        assert fingerprint(
+            CLUSTERING_KIND, CACHE_FORMAT_VERSION, list(key)
+        ) == (
+            "8943681862567f2dd3fec9cbf5cfa9c0"
+            "aefbf752c2955d31927351bd32c18ad4"
+        )
+
+
+def _memoizable(objects):
+    """Distinct frozen dataclasses the memo can reach in key material."""
+    found = {}
+    stack = list(objects)
+    while stack:
+        obj = stack.pop()
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            if type(obj).__dataclass_params__.frozen:
+                found[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return found
+
+
+@pytest.fixture(scope="module")
+def cold_art_keys(tmp_path_factory):
+    """Every key a cold serial ``art`` run digests, plus its counters."""
+    from repro.experiments import runner
+    from repro.runtime import cache as cache_module
+
+    keys = []
+    memoized = cache_module.fingerprint
+
+    def recording(*objects):
+        keys.append(objects)
+        return memoized(*objects)
+
+    saved = dict(runner._CACHE)
+    cache = ProfileCache(tmp_path_factory.mktemp("cold-art"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "fingerprint", recording)
+        try:
+            runner.clear_cache()
+            clear_trace_memo()
+            fingerprint_module._memo.clear()
+            with metrics.scoped_registry() as registry, runtime_session(
+                jobs=1, cache=cache
+            ):
+                runner.run_benchmark("art")
+        finally:
+            runner._CACHE.clear()
+            runner._CACHE.update(saved)
+    return keys, registry.snapshot()["counters"]
+
+
+class TestMemoizedFingerprint:
+    """The per-process memo never changes a digest."""
+
+    def test_cold_art_keys_match_the_one_shot_encoder(self, cold_art_keys):
+        keys, _ = cold_art_keys
+        assert keys
+        for objects in keys:
+            assert fingerprint(*objects) == reference_fingerprint(*objects)
+
+    def test_cold_art_encodes_each_key_object_once(self, cold_art_keys):
+        keys, counters = cold_art_keys
+        distinct = _memoizable(
+            [obj for objects in keys for obj in objects]
+        )
+        assert counters["fingerprint.memo_misses"] <= len(distinct)
+        assert counters["fingerprint.memo_hits"] > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_materials())
+    def test_nested_values_match_the_one_shot_encoder(self, value):
+        assert fingerprint(value) == reference_fingerprint(value)
+        assert fingerprint("kind", 2, [value, (value,)]) == (
+            reference_fingerprint("kind", 2, [value, (value,)])
+        )
+
+    def test_evicted_entries_reencode_identically(self):
+        capacity = fingerprint_module._MEMO_CAPACITY
+        inputs = [
+            ProgramInput(name=f"in{i}", scale=1.0 + i)
+            for i in range(capacity + 8)
+        ]
+        fingerprint_module._memo.clear()
+        first = [fingerprint(item) for item in inputs]
+        assert len(fingerprint_module._memo) == capacity
+        assert id(inputs[0]) not in fingerprint_module._memo
+        assert first == [reference_fingerprint(item) for item in inputs]
+        assert fingerprint(inputs) == reference_fingerprint(inputs)
+        assert [fingerprint(item) for item in inputs] == first
+
+    def test_equal_binaries_share_a_digest(self, micro_binaries):
+        again = compile_standard_binaries(build_micro_program())
+        for target in (TARGET_32U, TARGET_32O):
+            assert again[target] is not micro_binaries[target]
+            assert fingerprint(again[target]) == fingerprint(
+                micro_binaries[target]
+            ) == reference_fingerprint(micro_binaries[target])
 
 
 class TestProfileCache:
