@@ -153,7 +153,7 @@ def art_marker_set(art_pair):
 
 
 def test_perf_trace_compile(benchmark, art_32u):
-    """One recorded engine walk lowered to flat trace arrays."""
+    """One trace compile: procedure templates expanded to flat arrays."""
     from repro.execution.trace import clear_trace_memo, compile_trace
 
     def compile_cold():

@@ -18,8 +18,7 @@ Run:  python examples/phase_bias_anatomy.py
 import tempfile
 from pathlib import Path
 
-from repro.cmpsim.simcache import cached_region_run
-from repro.cmpsim.simulator import regions_from_mapped_points
+from repro.cmpsim.simulator import CMPSim, regions_from_mapped_points
 from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import STANDARD_TARGETS
 from repro.experiments.reporting import render_phase_comparison
@@ -62,9 +61,7 @@ def main() -> None:
     binary = binaries[target_64u]
     regions = regions_from_mapped_points(reloaded)
     table = run.cross.marker_set.table_for(binary.name)
-    # Per-region content keys: a repeat run with a cache configured
-    # re-simulates only regions whose boundaries actually changed.
-    result = cached_region_run(binary, regions, table, warm=True)
+    result = CMPSim(binary).run_regions(regions, table, warm=True)
 
     weights = run.cross.weights_for(binary.name)
     estimated_cpi = sum(

@@ -8,12 +8,6 @@
   CPI / bias breakdowns (the paper's Tables 2 and 3).
 """
 
-from repro.analysis.confidence import (
-    ConfidenceReport,
-    PhaseStatistics,
-    estimate_confidence,
-    phase_statistics,
-)
 from repro.analysis.estimate import (
     MethodEstimate,
     estimate_from_points,
@@ -31,10 +25,6 @@ from repro.analysis.systematic import (
 from repro.analysis.timeline import phase_strip, render_phase_timeline
 
 __all__ = [
-    "ConfidenceReport",
-    "PhaseStatistics",
-    "estimate_confidence",
-    "phase_statistics",
     "MethodEstimate",
     "estimate_from_points",
     "estimate_weighted_metric",

@@ -29,7 +29,6 @@ from repro.cmpsim.memory import (
     advance_stream,
     bulk_pattern,
     generate_refs,
-    generate_refs_bulk,
 )
 from repro.cmpsim.cpu import CPIModel
 from repro.cmpsim.simulator import (
@@ -47,7 +46,6 @@ from repro.cmpsim.simcache import (
     TrackedRun,
     TrackerRequest,
     cached_full_run,
-    cached_region_run,
 )
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "advance_stream",
     "bulk_pattern",
     "generate_refs",
-    "generate_refs_bulk",
     "CPIModel",
     "CMPSim",
     "FLITracker",
@@ -80,5 +77,4 @@ __all__ = [
     "TrackedRun",
     "TrackerRequest",
     "cached_full_run",
-    "cached_region_run",
 ]

@@ -449,15 +449,3 @@ def bulk_pattern(specs: Tuple[AccessSpec, ...]) -> BulkAccessPattern:
     """Compiled (and cached — specs are frozen dataclasses) pattern."""
     return BulkAccessPattern(specs)
 
-
-def generate_refs_bulk(
-    spec: AccessSpec, state: AddressStreamState, n_execs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """References for ``n_execs`` executions of one spec, batched.
-
-    Returns ``(lines, writes)`` numpy arrays of length
-    ``spec.refs_per_exec * n_execs``, bit-identical to the references
-    from ``n_execs`` scalar :func:`generate_refs` calls, advancing
-    ``state`` to the same values.
-    """
-    return bulk_pattern((spec,)).generate(state, n_execs)

@@ -3,25 +3,18 @@
 Profiling is compiled and cached, so detailed CMP$im simulation is the
 dominant repeated cost in sweeps, selector comparisons, and CI drift
 runs — even though most of its inputs rarely change between runs. This
-module keys detailed results by *content* and stores them as a
+module keys full detailed runs by *content* and stores them as a
 dedicated :data:`SIMRESULT_KIND` kind in the
-:class:`~repro.runtime.cache.ProfileCache`:
+:class:`~repro.runtime.cache.ProfileCache`.
 
-* :func:`cached_full_run` — one entry per tracker request of a full
-  run, keyed by (binary content, memory config, program input, tracker
-  parameters). The cycles of a full run do not depend on where its
-  intervals are cut, so every request that misses rides *one*
-  detailed simulation: an interval-size sweep simulates each binary
-  once, not once per size, and each size's result still lands under
-  its own key.
-* :func:`cached_region_run` — one entry *per region* of a
-  PinPoints-style sampled run. Region ``i``'s key covers the region
-  list prefix ``regions[0..i]`` plus the warmup policy, because a
-  region's detailed statistics depend on the cache state inherited
-  from everything simulated or warmed before it — not just its own
-  boundaries. A changed region therefore misses (and so does every
-  region after it), while the unchanged prefix still hits; one
-  simulation pass refills exactly the missing entries.
+:func:`cached_full_run` stores one entry per tracker request of a full
+run, keyed by (binary content, memory config, program input, tracker
+parameters). The cycles of a full run do not depend on where its
+intervals are cut, so every request that misses rides *one* detailed
+simulation: an interval-size sweep simulates each binary once, not
+once per size, and each size's result still lands under its own key.
+PinPoints-style region runs (:meth:`CMPSim.run_regions`) are not
+cached: the experiment pipeline never calls them.
 
 The execution engine and simulator are deterministic, so a cached
 value is bit-identical to recomputing it; the equivalence tests
@@ -32,10 +25,8 @@ simulates everything.
 Every lookup against :data:`SIMRESULT_KIND` is mirrored into the
 ``cache.sim.{hits,misses,stale_evictions}`` metric counters (the
 manifest's per-run sim-reuse ratio is derived from these), by
-measuring the per-kind stat deltas around the cache operations — so
-the counters stay correct no matter which helper drove the cache.
+measuring the per-kind stat deltas around the lookups.
 """
-
 from __future__ import annotations
 
 from contextlib import contextmanager
@@ -47,8 +38,6 @@ from repro.cmpsim.simulator import (
     CMPSim,
     FLITracker,
     IntervalStats,
-    RegionResult,
-    RegionSpec,
     SimulationStats,
     VLITracker,
 )
@@ -115,39 +104,6 @@ def full_run_key(
         vli_table,
         tuple(vli_boundaries) if vli_boundaries is not None else None,
     )
-
-
-def region_run_keys(
-    binary,
-    regions: Sequence[RegionSpec],
-    table: MarkerTable,
-    warm: bool,
-    memory: MemoryConfig,
-    program_input: ProgramInput,
-) -> Tuple[list, Tuple]:
-    """Per-region key material plus the run-tail key.
-
-    Region ``i`` is keyed by the spec prefix ``regions[0..i]``: its
-    detailed statistics depend on the cache state left behind by every
-    earlier region and fast-forward stretch, so a boundary edit
-    invalidates that region and everything after it — never anything
-    before. The tail key (covering the whole list) addresses the
-    run-level leftovers (fast-forward instruction count and the final
-    hierarchy snapshot).
-    """
-    base = (
-        binary,
-        memory,
-        program_input,
-        table,
-        bool(warm),
-    )
-    keys = []
-    for index in range(len(regions)):
-        prefix = tuple(regions[: index + 1])
-        keys.append(("region",) + base + (prefix,))
-    tail_key = ("region-tail",) + base + (tuple(regions),)
-    return keys, tail_key
 
 
 @contextmanager
@@ -248,66 +204,3 @@ def cached_full_run(
             runs[index] = run
     return runs
 
-
-def cached_region_run(
-    binary,
-    regions: Sequence[RegionSpec],
-    table: MarkerTable,
-    warm: bool = True,
-    *,
-    memory: MemoryConfig = TABLE1_CONFIG,
-    program_input: ProgramInput = REF_INPUT,
-    cache: Optional[ProfileCache] = None,
-) -> RegionResult:
-    """PinPoints-style region simulation with per-region reuse.
-
-    All regions hit → the result is assembled from the cache with no
-    simulation at all. Any region misses → one ordinary
-    ``run_regions`` pass re-simulates (the execution prefix must be
-    replayed anyway to reconstruct cache state), and only the missing
-    entries are written back. Hit regions keep their cached values in
-    the assembled result; determinism makes those identical to the
-    fresh pass, which the bit-identity tests enforce.
-    """
-    sim = CMPSim(binary, memory, program_input)
-    region_list = list(regions)
-    if cache is None:
-        cache = active_cache()
-    if cache is None or not region_list:
-        return sim.run_regions(region_list, table, warm=warm)
-    keys, tail_key = region_run_keys(
-        binary, region_list, table, warm, memory, program_input
-    )
-    with _mirror_sim_counters(cache):
-        probes = [cache.lookup(SIMRESULT_KIND, key) for key in keys]
-    # The tail entry is run-level bookkeeping, not a region: it stays
-    # out of the cache.sim.* mirror so those counters read as
-    # per-region hit counts.
-    tail_found, tail_value = cache.lookup(SIMRESULT_KIND, tail_key)
-    if tail_found and all(found for found, _ in probes):
-        return RegionResult(
-            regions={
-                spec.label: value
-                for spec, (_, value) in zip(region_list, probes)
-            },
-            fast_forward_instructions=tail_value[0],
-            hierarchy=tail_value[1],
-        )
-    fresh = sim.run_regions(region_list, table, warm=warm)
-    for spec, key, (found, _) in zip(region_list, keys, probes):
-        if not found:
-            cache.store(SIMRESULT_KIND, key, fresh.region(spec.label))
-    if not tail_found:
-        cache.store(
-            SIMRESULT_KIND,
-            tail_key,
-            (fresh.fast_forward_instructions, fresh.hierarchy),
-        )
-    return RegionResult(
-        regions={
-            spec.label: (value if found else fresh.region(spec.label))
-            for spec, (found, value) in zip(region_list, probes)
-        },
-        fast_forward_instructions=fresh.fast_forward_instructions,
-        hierarchy=fresh.hierarchy,
-    )

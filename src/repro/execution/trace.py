@@ -5,10 +5,10 @@ bit-identical across profiling passes, yet every consumer used to
 re-walk the lowered statement tree and process it one Python event at a
 time. A :class:`CompiledTrace` lowers one execution to flat numpy
 arrays — a run-length-encoded stream of block runs, iteration-span
-records, and procedure-entry markers — produced by a *single* engine
-walk and memoized both in-process and through the on-disk
-:class:`~repro.runtime.cache.ProfileCache` (kind ``"trace"``, keyed by
-the binary/input content fingerprint).
+records, and procedure-entry markers — expanded from per-procedure
+templates without walking the engine, and memoized both in-process and
+through the on-disk :class:`~repro.runtime.cache.ProfileCache` (kind
+``"trace"``, keyed by the binary/input content fingerprint).
 
 The replay functions in this module consume those arrays in bulk:
 
@@ -22,11 +22,12 @@ The replay functions in this module consume those arrays in bulk:
 * :func:`replay_call_branch` reduces the whole stream with
   ``np.add.at``.
 
-Every replay is bit-identical to the scalar consumer it replaces (the
-scalar consumers are retained as test oracles — see
-``tests/test_trace_replay_equivalence.py``); the trace encodes
-the exact event order the engine emits, so no ordering semantics are
-lost.
+Every replay is bit-identical to the scalar engine-walk consumer it
+replaces; those consumers, and the recorded engine walk the structural
+stream must match, live in ``tests/oracles.py`` and are compared
+against production in ``tests/test_trace_replay_equivalence.py``. The
+trace encodes the exact event order the engine emits, so no ordering
+semantics are lost.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ def _record_replay(kind: str, trace: "CompiledTrace") -> None:
 
     The event count IS the replay's batch size — each replay consumes
     the whole flat stream in one vectorized pass — so a drifting
-    distribution here means traces are being cut differently (or the
-    structural expander started falling back to recorded walks).
+    distribution here means traces are being cut differently.
     """
     metrics.counter("trace.replays").inc()
     metrics.counter(f"trace.replays.{kind}").inc()
@@ -210,77 +210,18 @@ class CompiledTrace:
         return self._attribution[3]
 
 
-class _TraceRecorder(ExecutionConsumer):
-    """Records the raw engine stream into flat Python lists."""
-
-    def __init__(self) -> None:
-        self.kinds: List[int] = []
-        self.ids: List[int] = []
-        self.reps: List[int] = []
-        self.proc_names: List[str] = []
-        self.loops: Dict[int, LLoop] = {}
-        self._proc_index: Dict[str, int] = {}
-
-    def on_procedure_entry(self, name: str, entry_block: int) -> None:
-        index = self._proc_index.get(name)
-        if index is None:
-            index = len(self.proc_names)
-            self._proc_index[name] = index
-            self.proc_names.append(name)
-        self.kinds.append(EVENT_PROC)
-        self.ids.append(index)
-        self.reps.append(entry_block)
-
-    def on_block(self, block_id: int, execs: int = 1) -> None:
-        if execs <= 0:
-            return
-        # Run-length encode consecutive executions of one block. The
-        # engine never actually emits adjacent duplicates today, but
-        # merged runs replay identically (every consumer's per-exec
-        # semantics are linear in ``execs``), so compression is safe.
-        if (
-            self.kinds
-            and self.kinds[-1] == EVENT_BLOCK
-            and self.ids[-1] == block_id
-        ):
-            self.reps[-1] += execs
-            return
-        self.kinds.append(EVENT_BLOCK)
-        self.ids.append(block_id)
-        self.reps.append(execs)
-
-    def on_iterations(self, loop: LLoop, iterations: int) -> None:
-        self.loops.setdefault(loop.loop_id, loop)
-        self.kinds.append(EVENT_SPAN)
-        self.ids.append(loop.loop_id)
-        self.reps.append(iterations)
-
-
 #: (kinds, ids, reps) arrays plus entry-ordered procedure names and the
 #: innermost loops that produced iteration spans.
 _Stream = Tuple[np.ndarray, np.ndarray, np.ndarray, List[str], Dict[int, LLoop]]
-
-
-def _recorded_stream(binary: Binary, program_input: ProgramInput) -> _Stream:
-    """The event stream via a real engine walk (oracle / fallback)."""
-    recorder = _TraceRecorder()
-    ExecutionEngine(binary, program_input).run(recorder)
-    return (
-        np.asarray(recorder.kinds, dtype=np.uint8),
-        np.asarray(recorder.ids, dtype=np.int64),
-        np.asarray(recorder.reps, dtype=np.int64),
-        recorder.proc_names,
-        recorder.loops,
-    )
 
 
 def _expandable(binary: Binary) -> bool:
     """Whether the call graph admits structural template expansion.
 
     Requires the reachable call graph to be acyclic with entry-chain
-    depth within the engine's ``MAX_CALL_DEPTH`` guard; anything else
-    (only possible in hand-built binaries) falls back to the recorded
-    walk so the engine's own error behavior is preserved exactly.
+    depth within the engine's ``MAX_CALL_DEPTH`` guard. Anything else
+    is only possible in hand-built binaries, and the engine's walk of
+    it raises (see :func:`compile_trace`).
     """
 
     depth_of: Dict[str, int] = {}
@@ -333,9 +274,10 @@ def _structural_stream(
     its blocks in statement order with callee templates spliced at call
     sites and non-innermost loop bodies tiled ``trips`` times. Every
     distinct procedure is expanded once; the full stream is the entry
-    procedure's template. Matches :func:`_recorded_stream` exactly
+    procedure's template. Matches a recorded engine walk exactly
     (procedure indices are assigned at first encounter in execution
-    order, which *is* first dynamic entry order).
+    order, which *is* first dynamic entry order); ``tests/oracles.py``
+    keeps that walk as the reference.
     """
     trips_of: Dict[int, int] = {}
     innermost_of: Dict[int, bool] = {}
@@ -488,8 +430,8 @@ def _structural_stream(
 
     kinds, ids, reps = expand_proc(binary.entry, 1)
 
-    # Run-length merge of adjacent same-block events, exactly as the
-    # recorder does (template splicing can in principle create
+    # Run-length merge of adjacent same-block events, exactly as a
+    # recorded walk would (template splicing can in principle create
     # adjacency the engine's one-event-at-a-time stream cannot).
     if kinds.shape[0] > 1:
         dup = (
@@ -510,8 +452,7 @@ def _structural_stream(
 
 #: Per-binary statics (pure functions of the binary object): the block
 #: instruction table and the expandability verdict. Keyed by object
-#: identity (verified), like ``iteration_profile``'s own memo; both the
-#: structural and recorded compile paths benefit equally.
+#: identity (verified), like ``iteration_profile``'s own memo.
 _STATICS_CAPACITY = 32
 _statics_memo: "OrderedDict[int, Tuple[Binary, np.ndarray, bool]]"
 _statics_memo = OrderedDict()
@@ -548,16 +489,22 @@ def compile_trace(
     """Compile one execution to a trace, without running it.
 
     The event stream comes from structural template expansion
-    (:func:`_structural_stream`) whenever the call graph allows it —
-    an engine-walk-free compile — and from a recorded engine walk
-    otherwise. Both produce the identical stream.
+    (:func:`_structural_stream`). A binary whose call graph rejects
+    expansion has a reachable call cycle or a call chain deeper than
+    ``MAX_CALL_DEPTH``; trip counts are at least one and the IR has no
+    conditionals, so the engine's walk of it raises, and that error is
+    raised unchanged.
     """
     instr_of_block, expandable = _statics_for(binary)
-    if expandable:
-        stream = _structural_stream(binary, program_input)
-    else:
-        stream = _recorded_stream(binary, program_input)
-    kinds, ids, reps, stream_proc_names, stream_loops = stream
+    if not expandable:
+        ExecutionEngine(binary, program_input).run(ExecutionConsumer())
+        raise ExecutionError(  # pragma: no cover - the walk raises
+            f"{binary.name}: call graph admits no structural expansion "
+            f"but the engine's walk completed"
+        )
+    kinds, ids, reps, stream_proc_names, stream_loops = _structural_stream(
+        binary, program_input
+    )
     n_events = kinds.shape[0]
     if n_events == 0:  # pragma: no cover - a binary always has an entry
         ids = ids.reshape(0)
@@ -703,11 +650,10 @@ def replay_fli(
 ) -> List[Interval]:
     """Cut the trace into fixed-length-interval BBVs.
 
-    Bit-identical to
-    :class:`~repro.profiling.bbv.FixedLengthBBVCollector` over the same
-    execution: boundaries fall at exact instruction counts, splitting
-    attribution runs mid-block just as the scalar ``_attribute`` loop
-    does.
+    Bit-identical to the scalar FLI collector in ``tests/oracles.py``
+    over the same execution: boundaries fall at exact instruction
+    counts, splitting attribution runs mid-block just as the scalar
+    ``_attribute`` loop does.
     """
     if interval_size <= 0:
         raise ProfilingError(
@@ -925,11 +871,11 @@ def replay_vli(
 ) -> List[Interval]:
     """Cut the trace into marker-bounded variable-length intervals.
 
-    Bit-identical to :class:`~repro.core.vli.VLIBuilder`: each interval
-    ends at the first marker firing at or past the target size (the
-    firing's instructions included), and a run that ends exactly on an
-    emitted boundary re-expresses the final interval as running to
-    program exit.
+    Bit-identical to the scalar VLI builder in ``tests/oracles.py``:
+    each interval ends at the first marker firing at or past the target
+    size (the firing's instructions included), and a run that ends
+    exactly on an emitted boundary re-expresses the final interval as
+    running to program exit.
     """
     if target_size <= 0:
         raise ProfilingError(
@@ -1121,11 +1067,11 @@ def replay_interval_counts(
 ) -> List[int]:
     """Instructions between mapped boundaries, as a segment sum.
 
-    Bit-identical to
-    :class:`~repro.core.weights.IntervalInstructionCounter`: each
-    boundary must fire, in order, strictly after the previous one; the
-    counts are differences of the boundary firing positions (the firing
-    block's instructions belong to the interval it closes).
+    Bit-identical to the scalar interval counter in
+    ``tests/oracles.py``: each boundary must fire, in order, strictly
+    after the previous one; the counts are differences of the boundary
+    firing positions (the firing block's instructions belong to the
+    interval it closes).
     """
     _record_replay("interval_counts", trace)
     firings = _firings_for(trace, marker_set.table_for(binary.name))
@@ -1191,11 +1137,11 @@ def replay_interval_counts(
 def replay_call_branch(trace: CompiledTrace, binary: Binary):
     """The whole-run call-and-branch profile, by bulk reduction.
 
-    Bit-identical to
-    :class:`~repro.profiling.callbranch.CallBranchProfiler` driven
-    through the Pin adapter: procedure entries come straight from the
-    trace's entry markers, loop entry/iteration counts reduce with
-    ``np.add.at`` over block executions and span records.
+    Bit-identical to the scalar call-and-branch Pin tool in
+    ``tests/oracles.py`` driven through the Pin adapter: procedure
+    entries come straight from the trace's entry markers, loop
+    entry/iteration counts reduce with ``np.add.at`` over block
+    executions and span records.
     """
     from repro.profiling.callbranch import CallBranchProfile, LoopProfile
 

@@ -107,7 +107,8 @@ class ProfileCache:
 
         Counts the probe as a hit or miss (aggregate and per kind) but
         never computes or writes anything — callers that batch many
-        probes (per-region reuse) pair this with :meth:`store`.
+        probes (one per tracker request of a full run) pair this with
+        :meth:`store`.
         """
         digest = self._digest(kind, key_material)
         path = self._path(kind, digest)

@@ -7,9 +7,10 @@ Each test here fails on the pre-fix code:
   repairs, leaving one cluster empty;
 * ``FLITracker.on_chunk`` silently dropped the cycles/DRAM of a chunk
   with zero instructions;
-* ``IntervalInstructionCounter.on_block`` looped once per execution on
-  the hottest path — replaced by bulk arithmetic that must keep the
-  exact boundary semantics of the per-execution loop.
+* ``IntervalInstructionCounter.on_block`` (now the scalar oracle in
+  :mod:`tests.oracles`) looped once per execution on the hottest path
+  — replaced by bulk arithmetic that must keep the exact boundary
+  semantics of the per-execution loop.
 """
 
 import random
@@ -20,9 +21,10 @@ import pytest
 from repro.cmpsim.simulator import FLITracker
 from repro.compilation.binary import BlockKind, LoweredBlock
 from repro.core.markers import MarkerSet, MarkerTable
-from repro.core.weights import IntervalInstructionCounter
 from repro.errors import ClusteringError
 from repro.simpoint.kmeans import _lloyd, weighted_kmeans
+
+from tests.oracles import IntervalInstructionCounter
 
 
 class _StubBinary:

@@ -1,7 +1,7 @@
 """Scalar-vs-batched equivalence oracles for the memory-system kernels.
 
 The batched paths — closed-form reference generation
-(:func:`generate_refs_bulk` / :class:`BulkAccessPattern`), the cache
+(:func:`bulk_pattern` / :class:`BulkAccessPattern`), the cache
 replay engines behind :meth:`SetAssociativeCache.access_many`, the
 hierarchy's level-by-level :meth:`MemoryHierarchy.access_many`, and the
 deferred-flush detailed simulator — must be *bit-identical* to the
@@ -30,7 +30,6 @@ from repro.cmpsim.memory import (
     AddressStreamState,
     bulk_pattern,
     generate_refs,
-    generate_refs_bulk,
 )
 from repro.cmpsim.simulator import CMPSim, FLITracker
 from repro.compilation.binary import AccessSpec
@@ -114,7 +113,7 @@ class TestBulkReferenceGeneration:
         expected = []
         for _ in range(rounds):
             expected.extend(generate_refs(spec, scalar_state))
-        lines, writes = generate_refs_bulk(spec, bulk_state, rounds)
+        lines, writes = bulk_pattern((spec,)).generate(bulk_state, rounds)
         assert lines.tolist() == [line for line, _ in expected]
         assert writes.tolist() == [write for _, write in expected]
         assert stream_state(scalar_state) == stream_state(bulk_state)
@@ -134,7 +133,7 @@ class TestBulkReferenceGeneration:
             expected.extend(generate_refs(spec, scalar_state))
         for _ in range(prefix):
             list(generate_refs(spec, bulk_state))
-        lines, writes = generate_refs_bulk(spec, bulk_state, rounds)
+        lines, writes = bulk_pattern((spec,)).generate(bulk_state, rounds)
         tail = expected[prefix * spec.refs_per_exec :]
         assert lines.tolist() == [line for line, _ in tail]
         assert writes.tolist() == [write for _, write in tail]

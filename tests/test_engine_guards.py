@@ -43,29 +43,33 @@ def _recursive_binary():
     )
 
 
+def _unknown_callee_binary():
+    """main calls a procedure the binary does not define."""
+    blocks = {0: _block(0), 1: _block(1)}
+    main = ProcedureCode(
+        name="main",
+        entry_block=0,
+        body=(LCall(callee="ghost", call_block=1),),
+    )
+    return Binary(
+        program_name="evil",
+        target=TARGET_32U,
+        entry="main",
+        procedures={"main": main},
+        blocks=blocks,
+        loops={},
+        symbols=frozenset({"main"}),
+    )
+
+
 class TestEngineGuards:
     def test_recursion_detected(self):
         with pytest.raises(ExecutionError, match="call depth exceeded"):
             run_binary(_recursive_binary())
 
     def test_unknown_callee_detected(self):
-        blocks = {0: _block(0), 1: _block(1)}
-        main = ProcedureCode(
-            name="main",
-            entry_block=0,
-            body=(LCall(callee="ghost", call_block=1),),
-        )
-        binary = Binary(
-            program_name="evil",
-            target=TARGET_32U,
-            entry="main",
-            procedures={"main": main},
-            blocks=blocks,
-            loops={},
-            symbols=frozenset({"main"}),
-        )
         with pytest.raises(ExecutionError, match="unknown procedure"):
-            run_binary(binary)
+            run_binary(_unknown_callee_binary())
 
     def test_depth_limit_is_generous(self):
         """Legitimate (deep but finite) call chains run fine."""

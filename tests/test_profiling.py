@@ -5,11 +5,12 @@ import pytest
 from repro.compilation.binary import BlockKind
 from repro.errors import ProfilingError
 from repro.execution.engine import run_binary
-from repro.profiling.bbv import FixedLengthBBVCollector, collect_fli_bbvs
+from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 
 from tests.conftest import MICRO_INTERVAL
+from tests.oracles import FixedLengthBBVCollector
 
 
 class TestInterval:
@@ -31,6 +32,10 @@ class TestFLICollection:
     def test_rejects_bad_interval_size(self, micro_binary_32u):
         with pytest.raises(ProfilingError):
             FixedLengthBBVCollector(micro_binary_32u, 0)
+
+    def test_production_rejects_bad_interval_size(self, micro_binary_32u):
+        with pytest.raises(ProfilingError, match="must be positive"):
+            collect_fli_bbvs(micro_binary_32u, 0)
 
     def test_all_but_last_exactly_sized(self, intervals):
         for interval in intervals[:-1]:

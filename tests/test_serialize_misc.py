@@ -51,3 +51,58 @@ class TestSourceEstimator:
         # O2 multiplies source work by ~0.75-1.0 (kernel o2_mult) plus
         # overhead blocks; the estimate must land in that band.
         assert 0.6 * estimate <= executed <= 1.3 * estimate
+
+
+class TestSerialization:
+    def test_figure_roundtrip(self, tmp_path):
+        from repro.experiments.figures import FigureData
+        from repro.experiments.serialize import (
+            figure_to_dict,
+            load_json,
+            save_json,
+        )
+
+        figure = FigureData(
+            figure="figureX",
+            title="test",
+            unit="units",
+            benchmarks=("a", "b"),
+            series={"S": (1.0, 3.0)},
+        )
+        data = figure_to_dict(figure)
+        assert data["averages"]["S"] == pytest.approx(2.0)
+        path = save_json(data, tmp_path / "fig.json")
+        assert load_json(path) == data
+
+    def test_benchmark_run_summary(self):
+        from repro.experiments.runner import run_benchmark
+        from repro.experiments.serialize import benchmark_run_to_dict
+
+        run = run_benchmark("art")
+        data = benchmark_run_to_dict(run)
+        assert data["benchmark"] == "art"
+        assert set(data["outcomes"]) == {"32u", "32o", "64u", "64o"}
+        assert data["k"] == run.cross.simpoint.k
+        weights = data["outcomes"]["32u"]["vli"]["weights"]
+        assert sum(weights.values()) == pytest.approx(1.0)
+        import json
+
+        json.dumps(data)  # must be JSON-serializable
+
+    def test_design_space_dict(self):
+        from repro.experiments.design_space import (
+            DesignPoint,
+            DesignSpaceResult,
+        )
+        from repro.experiments.serialize import design_space_to_dict
+
+        result = DesignSpaceResult(
+            program="p",
+            points=(
+                DesignPoint("32u", "a", 10.0, 11.0, 10.5),
+                DesignPoint("32o", "a", 5.0, 5.5, 5.2),
+            ),
+        )
+        data = design_space_to_dict(result)
+        assert data["true_best"] == ["32o", "a"]
+        assert len(data["points"]) == 2

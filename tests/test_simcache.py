@@ -1,8 +1,7 @@
 """Content-keyed reuse of detailed-simulation results.
 
-Covers the key schema (stability and sensitivity), full-run and
-per-region reuse with bit-identity against a fresh cache directory or
-the uncached path, sweep-level reuse (warm re-runs and resuming a
+Covers the key schema (stability and sensitivity), full-run reuse with
+bit-identity against a fresh cache directory or the uncached path, sweep-level reuse (warm re-runs and resuming a
 sweep killed mid-run), and the observability surface (manifest sim
 block, ledger flattening, drift gate).
 """
@@ -25,14 +24,11 @@ from repro.cmpsim.simcache import (
     TrackedRun,
     TrackerRequest,
     cached_full_run,
-    cached_region_run,
     full_run_key,
-    region_run_keys,
 )
-from repro.cmpsim.simulator import CMPSim, FLITracker, RegionSpec, VLITracker
+from repro.cmpsim.simulator import CMPSim, FLITracker, VLITracker
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
-from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentConfig, clear_cache
 from repro.experiments.sweeps import sweep_interval_sizes
 from repro.observability import metrics
@@ -114,15 +110,6 @@ def marked(micro_binary_list):
     return binary, marker_set.table_for(binary.name), intervals
 
 
-def _regions(intervals):
-    return [
-        RegionSpec(label=0, start=intervals[1].start_coord,
-                   end=intervals[1].end_coord),
-        RegionSpec(label=1, start=intervals[3].start_coord,
-                   end=intervals[3].end_coord),
-    ]
-
-
 class TestKeySchema:
     def test_full_run_key_is_stable(self, micro_binary_32u):
         def key():
@@ -165,41 +152,6 @@ class TestKeySchema:
         digests = {fingerprint(variant) for variant in variants}
         assert fingerprint(base) not in digests
         assert len(digests) == len(variants)
-
-    def test_region_keys_cover_the_prefix_only(self, marked):
-        binary, table, intervals = marked
-        regions = _regions(intervals)
-        keys, tail = region_run_keys(
-            binary, regions, table, True, TABLE1_CONFIG, REF_INPUT
-        )
-        assert len(keys) == len(regions)
-        # A boundary edit to region 1 leaves region 0's key untouched
-        # but changes region 1's and the tail's.
-        moved = [
-            regions[0],
-            RegionSpec(label=1, start=intervals[2].start_coord,
-                       end=intervals[3].end_coord),
-        ]
-        moved_keys, moved_tail = region_run_keys(
-            binary, moved, table, True, TABLE1_CONFIG, REF_INPUT
-        )
-        assert fingerprint(keys[0]) == fingerprint(moved_keys[0])
-        assert fingerprint(keys[1]) != fingerprint(moved_keys[1])
-        assert fingerprint(tail) != fingerprint(moved_tail)
-
-    def test_warmup_policy_changes_region_keys(self, marked):
-        binary, table, intervals = marked
-        regions = _regions(intervals)
-        warm_keys, _ = region_run_keys(
-            binary, regions, table, True, TABLE1_CONFIG, REF_INPUT
-        )
-        cold_keys, _ = region_run_keys(
-            binary, regions, table, False, TABLE1_CONFIG, REF_INPUT
-        )
-        assert all(
-            fingerprint(warm) != fingerprint(cold)
-            for warm, cold in zip(warm_keys, cold_keys)
-        )
 
 
 def _boundaries(intervals):
@@ -325,65 +277,6 @@ class TestCachedFullRun:
         # Each size is its own interval structure of the same run.
         assert len({run.stats for run in runs}) == 1
         assert len({len(run.fli_intervals) for run in runs}) == 3
-
-
-class TestCachedRegionRun:
-    def test_full_hit_skips_simulation_entirely(self, marked, tmp_path,
-                                                monkeypatch):
-        binary, table, intervals = marked
-        regions = _regions(intervals)
-        direct = CMPSim(binary).run_regions(regions, table, warm=True)
-        cache = ProfileCache(tmp_path)
-        cold = cached_region_run(binary, regions, table, cache=cache)
-        assert pickle.dumps(cold) == pickle.dumps(direct)
-
-        def _bomb(self, *args, **kwargs):
-            raise AssertionError("warm region run re-simulated")
-
-        monkeypatch.setattr(CMPSim, "run_regions", _bomb)
-        with metrics.scoped_registry() as local:
-            warm = cached_region_run(binary, regions, table, cache=cache)
-        assert pickle.dumps(warm) == pickle.dumps(direct)
-        counters = local.snapshot()["counters"]
-        # One per-region probe per region; the tail entry is run-level
-        # bookkeeping and deliberately outside the sim counters.
-        assert counters["cache.sim.hits"] == len(regions)
-        assert "cache.sim.misses" not in counters
-
-    def test_boundary_edit_reuses_the_unchanged_prefix(self, marked,
-                                                       tmp_path):
-        binary, table, intervals = marked
-        regions = _regions(intervals)
-        cache = ProfileCache(tmp_path)
-        cached_region_run(binary, regions, table, cache=cache)
-        moved = [
-            regions[0],
-            RegionSpec(label=1, start=intervals[2].start_coord,
-                       end=intervals[3].end_coord),
-        ]
-        direct = CMPSim(binary).run_regions(moved, table, warm=True)
-        with metrics.scoped_registry() as local:
-            result = cached_region_run(binary, moved, table, cache=cache)
-        assert pickle.dumps(result) == pickle.dumps(direct)
-        counters = local.snapshot()["counters"]
-        assert counters["cache.sim.hits"] == 1  # region 0's prefix key
-        assert counters["cache.sim.misses"] == 1  # the edited region
-        # And the refilled entries serve the edited list in full.
-        fresh = cached_region_run(binary, moved, table, cache=cache)
-        assert pickle.dumps(fresh) == pickle.dumps(direct)
-
-    def test_invalid_region_lists_still_raise(self, marked, tmp_path):
-        binary, table, intervals = marked
-        bad = [
-            RegionSpec(label=0, start=intervals[1].start_coord,
-                       end=intervals[1].end_coord),
-            RegionSpec(label=1, start=None,
-                       end=intervals[3].end_coord),
-        ]
-        cache = ProfileCache(tmp_path)
-        for _ in range(2):  # the failure must not poison the cache
-            with pytest.raises(SimulationError, match="first region"):
-                cached_region_run(binary, bad, table, cache=cache)
 
 
 class TestSweepReuse:

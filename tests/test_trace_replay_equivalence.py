@@ -9,7 +9,9 @@ profile — the replay result equals the scalar result *exactly* (same
 dicts, same key order, same float values), across the whole benchmark
 suite, every standard target, and both study inputs, plus randomly
 generated IR programs. The scalar consumers run through
-:mod:`tests.oracles`; production code always replays.
+:mod:`tests.oracles`; production code always replays. The structural
+stream builder is compared with a recorded engine walk the same way,
+and a binary it cannot expand must raise the engine's own error.
 """
 
 import pytest
@@ -21,12 +23,13 @@ from repro.core.mapping import interval_boundaries
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.core.weights import measure_interval_instructions
-from repro.errors import MappingError
+from repro.errors import ExecutionError, MappingError
 from repro.execution.engine import run_binary
 from repro.execution.trace import (
     EVENT_BLOCK,
     EVENT_PROC,
     EVENT_SPAN,
+    _structural_stream,
     clear_trace_memo,
     compile_trace,
     compiled_trace,
@@ -38,12 +41,17 @@ from repro.programs.suite import benchmark_names, build_benchmark
 from repro.runtime.cache import ProfileCache
 
 from tests.oracles import (
+    recorded_stream,
     scalar_call_branch_profile,
     scalar_fli_bbvs,
     scalar_interval_instructions,
     scalar_vli_bbvs,
 )
 from tests.strategies import programs
+from tests.test_engine_guards import (
+    _recursive_binary,
+    _unknown_callee_binary,
+)
 
 INTERVAL = 50_000
 
@@ -109,6 +117,54 @@ class TestSuiteEquivalence:
         binaries = compile_standard_binaries(build_benchmark(name))
         ordered = [binaries[t] for t in STANDARD_TARGETS]
         _assert_all_consumers_equal(ordered, REF_INPUT)
+
+
+def _assert_streams_equal(binary, program_input):
+    """Structural expansion vs a recorded engine walk, field by field."""
+    kinds, ids, reps, proc_names, loops = _structural_stream(
+        binary, program_input
+    )
+    r_kinds, r_ids, r_reps, r_proc_names, r_loops = recorded_stream(
+        binary, program_input
+    )
+    assert kinds.dtype == r_kinds.dtype
+    assert kinds.tolist() == r_kinds.tolist()
+    assert ids.tolist() == r_ids.tolist()
+    assert reps.tolist() == r_reps.tolist()
+    assert proc_names == r_proc_names
+    assert loops == r_loops
+    assert list(loops) == list(r_loops)
+
+
+class TestStreamBuilder:
+    @pytest.mark.parametrize("program_input", (REF_INPUT, TEST_INPUT),
+                             ids=lambda program_input: program_input.name)
+    def test_structural_matches_recorded_walk(
+        self, micro_binary_list, program_input
+    ):
+        for binary in micro_binary_list:
+            _assert_streams_equal(binary, program_input)
+
+    @_SETTINGS
+    @given(program=programs())
+    def test_structural_matches_recorded_walk_on_random_programs(
+        self, program
+    ):
+        for target in (TARGET_32U, TARGET_32O):
+            binary = compile_program(program, target)[0]
+            _assert_streams_equal(binary, REF_INPUT)
+
+    @pytest.mark.parametrize(
+        "build", (_recursive_binary, _unknown_callee_binary),
+        ids=("recursive", "unknown-callee"),
+    )
+    def test_compile_raises_the_engines_error(self, build):
+        binary = build()
+        with pytest.raises(ExecutionError) as engine:
+            run_binary(binary)
+        with pytest.raises(ExecutionError) as compiled:
+            compile_trace(binary)
+        assert str(compiled.value) == str(engine.value)
 
 
 class TestTraceStructure:
