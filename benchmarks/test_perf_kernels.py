@@ -118,6 +118,33 @@ def test_perf_detailed_simulation(benchmark, art_32u):
     assert result.stats.cpi > 0.5
 
 
+def test_perf_detailed_simulation_tracked(
+    benchmark, art_32u, art_marker_set
+):
+    """One full run carrying a three-size sweep's trackers (3 FLI +
+    3 VLI): next to the untracked run, the cost of attribution."""
+    from repro.cmpsim.simulator import FLITracker, VLITracker
+    from repro.core.mapping import interval_boundaries
+    from repro.core.vli import collect_vli_bbvs
+
+    sizes = (50_000, 100_000, 200_000)
+    table = art_marker_set.table_for(art_32u.name)
+    boundaries = [
+        interval_boundaries(collect_vli_bbvs(art_32u, art_marker_set, size))
+        for size in sizes
+    ]
+
+    def run():
+        trackers = [FLITracker(size) for size in sizes] + [
+            VLITracker(table, cuts) for cuts in boundaries
+        ]
+        CMPSim(art_32u).run_full(trackers=trackers)
+        return trackers
+
+    trackers = benchmark.pedantic(run, rounds=1, iterations=2)
+    assert all(len(tracker.intervals) > 1 for tracker in trackers)
+
+
 def test_perf_detailed_simulation_scalar(benchmark, art_32u):
     """Full run on the scalar oracle path (``batched=False``)."""
     result = benchmark.pedantic(

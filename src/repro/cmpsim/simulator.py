@@ -15,6 +15,14 @@ in-order CPI model. Two kinds of run are supported:
   functionally or left untouched, for the warmup ablation) and collect
   detailed statistics only inside the regions.
 
+A full run reaches its trackers as a stream of chunks (block id,
+executions, instructions, cycles, DRAM accesses) in event order, one
+flush at a time as numpy columns (``on_chunks``). A tracker folds the
+chunks between two boundaries into the open interval left to right and
+splits only the chunk that holds a boundary, so every interval is
+bit-identical to attributing one chunk at a time, however the stream is
+batched.
+
 Marker anchor blocks are always overhead blocks (procedure entries,
 loop entries, loop branches) and overhead blocks never touch memory, so
 their per-execution cycles within a chunk are uniform — which makes the
@@ -75,84 +83,165 @@ class IntervalStats:
         return 1000.0 * self.dram_accesses / self.instructions
 
 
-class FLITracker:
-    """Attributes cycles to fixed-length intervals (exact cuts).
+def _fold(seed: float, values: np.ndarray) -> float:
+    """``seed + values[0] + values[1] + ...``, added left to right.
 
-    A chunk whose instructions straddle a boundary is split with its
-    cycles prorated by instruction share — the same convention real
-    interval profilers use when a basic block straddles an interval
-    boundary.
+    ``np.add.accumulate`` folds in order, so the result is bit-identical
+    to a scalar ``+=`` loop (``np.sum`` is pairwise and is not). IEEE
+    addition is commutative, so folding the seed into the first addend
+    is exact.
+    """
+    if values.size == 0:
+        return seed
+    buf = np.array(values, dtype=np.float64)
+    buf[0] = seed + buf[0]
+    np.add.accumulate(buf, out=buf)
+    return float(buf[-1])
+
+
+class _IntervalTracker:
+    """Open interval, closed intervals and conservation totals.
+
+    A tracker sees the run's chunk stream in event order, one batch of
+    columns at a time (:meth:`on_chunks`). The chunks between two
+    boundaries join the open interval with one left fold per column;
+    only a chunk that holds a boundary is split, with the arithmetic of
+    a chunk-at-a-time tracker. Batch borders do not move any result.
     """
 
-    def __init__(self, interval_size: int) -> None:
-        if interval_size <= 0:
-            raise SimulationError("interval_size must be positive")
-        self._size = interval_size
+    def __init__(self) -> None:
         self._cur = IntervalStats()
         self.intervals: List[IntervalStats] = []
         self.total_instructions = 0
         self.total_cycles = 0.0
         self.total_dram = 0.0
 
-    def on_chunk(
-        self,
-        block_id: int,
-        execs: int,
-        instructions: int,
-        cycles: float,
-        dram: float = 0.0,
+    def _add_totals(
+        self, instructions: np.ndarray, cycles: np.ndarray, dram: np.ndarray
     ) -> None:
-        self.total_instructions += instructions
-        self.total_cycles += cycles
-        self.total_dram += dram
-        if instructions <= 0:
-            # A chunk may carry cycles/DRAM traffic without committing
-            # instructions; conserve them in the open interval instead
-            # of silently dropping them.
-            self._cur.cycles += cycles
-            self._cur.dram_accesses += dram
+        self.total_instructions += int(instructions.sum())
+        self.total_cycles = _fold(self.total_cycles, cycles)
+        self.total_dram = _fold(self.total_dram, dram)
+
+    def _absorb(
+        self, instructions: np.ndarray, cycles: np.ndarray, dram: np.ndarray
+    ) -> None:
+        """Add whole chunks, in order, to the open interval."""
+        cur = self._cur
+        cur.instructions += int(instructions.sum())
+        cur.cycles = _fold(cur.cycles, cycles)
+        cur.dram_accesses = _fold(cur.dram_accesses, dram)
+
+    def _close(self) -> None:
+        self.intervals.append(self._cur)
+        self._cur = IntervalStats()
+
+    def _check_conservation(self, what: str) -> None:
+        """Raise unless the intervals hold exactly what was seen."""
+        attributed = sum(i.instructions for i in self.intervals)
+        if attributed != self.total_instructions:
+            raise SimulationError(
+                f"{what} tracker lost instructions: saw "
+                f"{self.total_instructions}, attributed {attributed}"
+            )
+        for name, seen, attributed in (
+            ("cycles", self.total_cycles,
+             sum(i.cycles for i in self.intervals)),
+            ("DRAM accesses", self.total_dram,
+             sum(i.dram_accesses for i in self.intervals)),
+        ):
+            if not math.isclose(attributed, seen, rel_tol=1e-9, abs_tol=1e-6):
+                raise SimulationError(
+                    f"{what} tracker lost {name}: saw {seen}, "
+                    f"attributed {attributed}"
+                )
+
+
+class FLITracker(_IntervalTracker):
+    """Attributes cycles to fixed-length intervals (exact cuts).
+
+    A chunk whose instructions straddle a boundary is split with its
+    cycles prorated by instruction share — the same convention real
+    interval profilers use when a basic block straddles an interval
+    boundary. A chunk without instructions (a stall) adds its cycles
+    and DRAM accesses to the open interval.
+    """
+
+    def __init__(self, interval_size: int) -> None:
+        if interval_size <= 0:
+            raise SimulationError("interval_size must be positive")
+        super().__init__()
+        self._size = interval_size
+
+    def on_chunks(
+        self,
+        block_ids: np.ndarray,
+        execs: np.ndarray,
+        instructions: np.ndarray,
+        cycles: np.ndarray,
+        dram: np.ndarray,
+    ) -> None:
+        """Attribute one batch of chunks: equal-length columns in event
+        order (block id, executions, instructions, cycles, DRAM)."""
+        if instructions.size == 0:
             return
-        remaining_instr = instructions
-        remaining_cycles = cycles
-        remaining_dram = dram
+        self._add_totals(instructions, cycles, dram)
+        # Position in the open interval after each chunk; a chunk
+        # without instructions takes no room.
+        steps = np.maximum(instructions, 0)
+        ends = self._cur.instructions + np.cumsum(steps)
+        start = 0
+        n_cuts = int(ends[-1]) // self._size
+        if n_cuts:
+            cuts = self._size * np.arange(1, n_cuts + 1, dtype=np.int64)
+            # The first chunk that reaches a cut holds it.
+            for row in np.unique(np.searchsorted(ends, cuts)).tolist():
+                self._absorb(
+                    steps[start:row], cycles[start:row], dram[start:row]
+                )
+                self._split(
+                    int(instructions[row]), float(cycles[row]),
+                    float(dram[row]),
+                )
+                start = row + 1
+        self._absorb(steps[start:], cycles[start:], dram[start:])
+
+    def _split(
+        self, remaining_instr: int, remaining_cycles: float,
+        remaining_dram: float,
+    ) -> None:
+        """Prorate one chunk over every cut it reaches."""
         while remaining_instr > 0:
-            space = self._size - self._cur.instructions
+            cur = self._cur
+            space = self._size - cur.instructions
             if remaining_instr < space:
-                self._cur.instructions += remaining_instr
-                self._cur.cycles += remaining_cycles
-                self._cur.dram_accesses += remaining_dram
+                cur.instructions += remaining_instr
+                cur.cycles += remaining_cycles
+                cur.dram_accesses += remaining_dram
                 return
             fraction = space / remaining_instr
             share = remaining_cycles * fraction
             dram_share = remaining_dram * fraction
-            self._cur.instructions += space
-            self._cur.cycles += share
-            self._cur.dram_accesses += dram_share
+            cur.instructions += space
+            cur.cycles += share
+            cur.dram_accesses += dram_share
             remaining_instr -= space
             remaining_cycles -= share
             remaining_dram -= dram_share
-            self.intervals.append(self._cur)
-            self._cur = IntervalStats()
+            self._close()
 
     def finish(self) -> None:
+        cur = self._cur
         if (
-            self._cur.instructions > 0
-            or self._cur.cycles != 0.0
-            or self._cur.dram_accesses != 0.0
+            cur.instructions > 0
+            or cur.cycles != 0.0
+            or cur.dram_accesses != 0.0
         ):
-            self.intervals.append(self._cur)
-            self._cur = IntervalStats()
-        tracked = sum(interval.cycles for interval in self.intervals)
-        if not math.isclose(
-            tracked, self.total_cycles, rel_tol=1e-9, abs_tol=1e-6
-        ):
-            raise SimulationError(
-                f"FLI tracker lost cycles: saw {self.total_cycles}, "
-                f"attributed {tracked}"
-            )
+            self._close()
+        self._check_conservation("FLI")
 
 
-class VLITracker:
+class VLITracker(_IntervalTracker):
     """Attributes cycles to mapped variable-length intervals.
 
     ``boundaries`` are the interior interval boundaries (execution
@@ -166,40 +255,116 @@ class VLITracker:
         table: MarkerTable,
         boundaries: Sequence[ExecutionCoordinate],
     ) -> None:
-        self._block_to_marker = table.block_to_marker()
+        super().__init__()
+        block_to_marker = table.block_to_marker()
+        self._marker_of_block = np.full(
+            max(block_to_marker, default=0) + 1, -1, dtype=np.int64
+        )
+        for block_id, marker_id in block_to_marker.items():
+            self._marker_of_block[block_id] = marker_id
+        self._marker_counts = np.zeros(
+            max(table.anchor_blocks, default=-1) + 1, dtype=np.int64
+        )
         self._boundaries: Tuple[ExecutionCoordinate, ...] = tuple(boundaries)
         self._next = 0
-        self._marker_counts: Dict[int, int] = {}
-        self._cur = IntervalStats()
-        self.intervals: List[IntervalStats] = []
         self.binary_name = table.binary_name
-        self.total_cycles = 0.0
 
-    def _close(self) -> None:
-        self.intervals.append(self._cur)
-        self._cur = IntervalStats()
-        self._next += 1
-
-    def on_chunk(
+    def on_chunks(
         self,
-        block_id: int,
-        execs: int,
-        instructions: int,
-        cycles: float,
-        dram: float = 0.0,
+        block_ids: np.ndarray,
+        execs: np.ndarray,
+        instructions: np.ndarray,
+        cycles: np.ndarray,
+        dram: np.ndarray,
     ) -> None:
-        self.total_cycles += cycles
-        marker_id = self._block_to_marker.get(block_id)
-        if marker_id is None:
-            self._cur.instructions += instructions
-            self._cur.cycles += cycles
-            self._cur.dram_accesses += dram
+        """Attribute one batch of chunks: equal-length columns in event
+        order (block id, executions, instructions, cycles, DRAM)."""
+        if instructions.size == 0:
             return
+        self._add_totals(instructions, cycles, dram)
+        lut = self._marker_of_block
+        known = (block_ids >= 0) & (block_ids < lut.size)
+        markers = np.where(known, lut[np.where(known, block_ids, 0)], -1)
+        rows = np.flatnonzero(markers >= 0)
+        if rows.size == 0:
+            self._absorb(instructions, cycles, dram)
+            return
+        marker_ids = markers[rows]
+        marker_execs = execs[rows]
         # Marker anchors are overhead blocks: uniform per execution and
-        # free of memory traffic (dram is always 0 here).
+        # free of memory traffic. They add (cycles / execs) * execs, as
+        # a split does, and no DRAM accesses.
+        instr_add = np.array(instructions, dtype=np.int64)
+        instr_add[rows] = (instr_add[rows] // marker_execs) * marker_execs
+        cycles_add = np.array(cycles, dtype=np.float64)
+        cycles_add[rows] = (cycles_add[rows] / marker_execs) * marker_execs
+        dram_add = np.array(dram, dtype=np.float64)
+        dram_add[rows] = 0.0
+        start = 0
+        for row, count in self._boundary_rows(
+            rows, marker_ids, marker_execs
+        ):
+            self._absorb(
+                instr_add[start:row], cycles_add[start:row],
+                dram_add[start:row],
+            )
+            self._split(
+                int(markers[row]), int(execs[row]), int(instructions[row]),
+                float(cycles[row]), count,
+            )
+            start = row + 1
+        self._absorb(instr_add[start:], cycles_add[start:], dram_add[start:])
+        np.add.at(self._marker_counts, marker_ids, marker_execs)
+
+    def _boundary_rows(
+        self,
+        rows: np.ndarray,
+        marker_ids: np.ndarray,
+        marker_execs: np.ndarray,
+    ) -> List[Tuple[int, int]]:
+        """The batch's chunks that hold a boundary, in order, each with
+        its marker's execution count before the chunk.
+
+        Boundary ``j`` fires where its marker's running count first
+        reaches the expected count, if that is after boundary ``j - 1``
+        fired; a coordinate passed earlier never fires, and neither
+        does any boundary after it.
+        """
+        found: List[Tuple[int, int]] = []
+        runs: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
+        last = (-1, 0)
+        for index in range(self._next, len(self._boundaries)):
+            marker_id, expected = self._boundaries[index]
+            if marker_id not in runs:
+                mine = marker_ids == marker_id
+                base = (
+                    int(self._marker_counts[marker_id])
+                    if 0 <= marker_id < self._marker_counts.size
+                    else 0
+                )
+                runs[marker_id] = (
+                    base, rows[mine], base + np.cumsum(marker_execs[mine])
+                )
+            base, marker_rows, after = runs[marker_id]
+            position = int(np.searchsorted(after, expected))
+            if position == after.size:
+                break  # fires in a later batch, if ever
+            before = int(after[position - 1]) if position else base
+            row = int(marker_rows[position])
+            if before >= expected or (row, expected) <= last:
+                break  # passed before it was next: never fires
+            if row != last[0]:
+                found.append((row, before))
+            last = (row, expected)
+        return found
+
+    def _split(
+        self, marker_id: int, execs: int, instructions: int, cycles: float,
+        count: int,
+    ) -> None:
+        """Cut one marker chunk at each boundary it holds."""
         per_instr = instructions // execs
         per_cycles = cycles / execs
-        count = self._marker_counts.get(marker_id, 0)
         remaining = execs
         while remaining > 0:
             take = remaining
@@ -218,7 +383,7 @@ class VLITracker:
                 expected_marker, expected_count = self._boundaries[self._next]
                 if expected_marker == marker_id and expected_count == count:
                     self._close()
-        self._marker_counts[marker_id] = count
+                    self._next += 1
 
     def finish(self) -> None:
         if self._next != len(self._boundaries):
@@ -227,16 +392,8 @@ class VLITracker:
                 f"{self._boundaries[self._next]} never fired during "
                 f"detailed simulation"
             )
-        self.intervals.append(self._cur)
-        self._cur = IntervalStats()
-        tracked = sum(interval.cycles for interval in self.intervals)
-        if not math.isclose(
-            tracked, self.total_cycles, rel_tol=1e-9, abs_tol=1e-6
-        ):
-            raise SimulationError(
-                f"{self.binary_name}: VLI tracker lost cycles: saw "
-                f"{self.total_cycles}, attributed {tracked}"
-            )
+        self._close()
+        self._check_conservation(f"{self.binary_name}: VLI")
 
 
 @dataclass(frozen=True)
@@ -328,15 +485,12 @@ _MIN_BULK_REFS = 64
 #: vectorized, small enough to keep the working set in cache.
 _FLUSH_REFS = 65536
 
-#: Memory guard: flush once this many accounting items queue up even
-#: if few references did (reference-free stretches of execution).
+#: Memory guard: flush once this many rows and spans queue up even if
+#: few references did (reference-free stretches of execution).
 _FLUSH_ITEMS = 262144
 
-#: Queue item tags (first tuple element).
-_ITEM_PLAIN = 0  # (tag, block_id, execs, instructions, cycles)
-_ITEM_BLOCK = 1  # (tag, block_id, instructions, base_cycles, start, end)
-_ITEM_SPAN = 2  # (tag, plan, iterations, start)
-_ITEM_LOOP = 3  # (tag, chunks, iterations) — reference-free loop
+#: Columns of a queued chunk row and of the span template.
+_ROW_COLUMNS = 6  # block id, execs, instructions, cycles, DRAM, refs
 
 
 @dataclass(frozen=True)
@@ -346,8 +500,6 @@ class _SpanChunk:
     block_id: int
     instructions: int
     base_cycles: float
-    col_start: int  # reference columns [col_start, col_end) of this
-    col_end: int  # block within one iteration's reference row
     has_specs: bool
 
 
@@ -356,29 +508,37 @@ class _SpanPlan:
     """Compiled batch recipe for one loop's iteration span.
 
     ``pattern`` is ``None`` for loops whose iterations touch no
-    memory; they queue as reference-free loop items.
+    memory. ``offset`` is the plan's first row in the consumer's span
+    template, which holds one row per chunk.
     """
 
     chunks: Tuple[_SpanChunk, ...]
     pattern: Optional[BulkAccessPattern]
     refs_per_iter: int
     instr_per_iter: int
+    offset: int
 
 
 class _DetailedConsumer(ExecutionConsumer):
     """Full detailed simulation with tracker attribution.
 
-    In batched mode nothing touches the hierarchy per event. Reference
-    generation still happens in event order (it owns the address
-    cursors), but the generated arrays are *queued* alongside ordered
-    accounting items and flushed through
+    Execution is queued as chunk rows — ``(block id, execs,
+    instructions, cycles, DRAM accesses, references)`` — and loop
+    spans, each span standing for its iterations' rows. In batched
+    mode nothing touches the hierarchy per event: reference generation
+    still happens in event order (it owns the address cursors), but
+    the arrays are queued and flushed through
     :meth:`MemoryHierarchy.access_many` once ``_FLUSH_REFS``
-    references accumulate — batches then span many loops and straddle
-    block events, which is what lets every cache level replay
-    vectorized. At flush the item queue is drained in original event
-    order, so float cycle accumulation and tracker ``on_chunk`` calls
-    happen in exactly the scalar sequence: results stay bit-identical
-    to ``batched=False``.
+    references accumulate, so every cache level replays vectorized. A
+    row's cycles are then its base cycles; the flush adds each row's
+    penalties. ``batched=False`` accesses the hierarchy one reference
+    at a time and queues rows that already carry their cycles and
+    DRAM accesses.
+
+    Each flush builds the chunk stream once as columns, in event
+    order, folds the cycles into the run total left to right and hands
+    the same columns to every tracker's ``on_chunks``. Folding in event
+    order keeps every float bit-identical between the two modes.
     """
 
     def __init__(
@@ -397,13 +557,16 @@ class _DetailedConsumer(ExecutionConsumer):
         self._batched = batched
         self._pen_np = np.array(cpi_model.penalties, dtype=np.int64)
         self._span_cache: Dict[int, _SpanPlan] = {}
+        self._template: List[Tuple] = []
+        self._template_table: Optional[np.ndarray] = None
         self.instructions = 0
         self.cycles = 0.0
         self.memory_refs = 0
         self._pending_lines: List[np.ndarray] = []
         self._pending_writes: List[np.ndarray] = []
         self._pending_refs = 0
-        self._items: List[Tuple] = []
+        self._rows: List[Tuple] = []
+        self._spans: List[Tuple[int, _SpanPlan, int]] = []
         n_blocks = max(binary.blocks) + 1 if binary.blocks else 0
         self._info: List[Optional[_BlockInfo]] = [None] * n_blocks
         for block_id, block in binary.blocks.items():
@@ -426,12 +589,12 @@ class _DetailedConsumer(ExecutionConsumer):
                 if level == 3:
                     dram += 1
                 refs += 1
-        cycles = info.base_cycles + penalty
         self.memory_refs += refs
         self.instructions += info.instructions
-        self.cycles += cycles
-        for tracker in self._trackers:
-            tracker.on_chunk(block_id, 1, info.instructions, cycles, dram)
+        self._rows.append(
+            (block_id, 1, info.instructions, info.base_cycles + penalty,
+             dram, 0)
+        )
 
     def _queue_block(self, block_id: int, info: _BlockInfo) -> None:
         """Queue one reference-bearing block execution (batched mode)."""
@@ -441,55 +604,37 @@ class _DetailedConsumer(ExecutionConsumer):
             for line, write in generate_refs(spec, self._streams):
                 lines.append(line)
                 writes.append(write)
-        start = self._pending_refs
         self._pending_lines.append(np.array(lines, dtype=np.int64))
         self._pending_writes.append(np.array(writes, dtype=np.bool_))
-        self._pending_refs = start + len(lines)
+        self._pending_refs += len(lines)
         self.memory_refs += len(lines)
         self.instructions += info.instructions
-        self._items.append(
-            (
-                _ITEM_BLOCK,
-                block_id,
-                info.instructions,
-                info.base_cycles,
-                start,
-                self._pending_refs,
-            )
+        self._rows.append(
+            (block_id, 1, info.instructions, info.base_cycles, 0, len(lines))
         )
 
     def on_block(self, block_id: int, execs: int = 1) -> None:
         info = self._info[block_id]
         if info.specs:
-            if self._batched:
-                for _ in range(execs):
-                    self._queue_block(block_id, info)
-                self._maybe_flush()
-            else:
-                for _ in range(execs):
-                    self._exec_with_refs(block_id, info)
+            run = self._queue_block if self._batched else self._exec_with_refs
+            for _ in range(execs):
+                run(block_id, info)
+            self._maybe_flush()
             return
         instructions = info.instructions * execs
-        cycles = info.base_cycles * execs
         self.instructions += instructions
-        if self._batched:
-            self._items.append(
-                (_ITEM_PLAIN, block_id, execs, instructions, cycles)
-            )
-            if len(self._items) >= _FLUSH_ITEMS:
-                self._flush()
-            return
-        self.cycles += cycles
-        for tracker in self._trackers:
-            tracker.on_chunk(block_id, execs, instructions, cycles)
+        self._rows.append(
+            (block_id, execs, instructions, info.base_cycles * execs, 0, 0)
+        )
+        if len(self._rows) >= _FLUSH_ITEMS:
+            self._flush()
 
     def _span_plan(self, loop: LLoop) -> _SpanPlan:
         """Compile (and cache) the batch recipe for one loop.
 
         Loops whose iterations touch no memory get ``pattern=None``.
-        The branch block is a chunk with no reference columns,
-        matching the scalar span loop which never generates references
-        for it.
+        The branch block is a chunk with no references, matching the
+        scalar span loop which never generates references for it.
         """
         try:
             return self._span_cache[loop.loop_id]
@@ -498,43 +643,38 @@ class _DetailedConsumer(ExecutionConsumer):
         profile = iteration_profile(self._binary, loop)
         specs: List = []
         chunks: List[_SpanChunk] = []
-        col = 0
-        instr = 0
-        for block_id in profile.body_blocks:
+        offset = len(self._template)
+        blocks = [
+            (block_id, bool(self._info[block_id].specs))
+            for block_id in profile.body_blocks
+        ]
+        blocks.append((profile.branch_block, False))
+        for block_id, has_specs in blocks:
             info = self._info[block_id]
-            start = col
-            if info.specs:
+            refs = 0
+            if has_specs:
                 for spec in info.specs:
                     specs.append(spec)
-                    col += spec.refs_per_exec
+                    refs += spec.refs_per_exec
             chunks.append(
                 _SpanChunk(
                     block_id=block_id,
                     instructions=info.instructions,
                     base_cycles=info.base_cycles,
-                    col_start=start,
-                    col_end=col,
-                    has_specs=bool(info.specs),
+                    has_specs=has_specs,
                 )
             )
-            instr += info.instructions
-        branch = self._info[profile.branch_block]
-        chunks.append(
-            _SpanChunk(
-                block_id=profile.branch_block,
-                instructions=branch.instructions,
-                base_cycles=branch.base_cycles,
-                col_start=col,
-                col_end=col,
-                has_specs=False,
+            self._template.append(
+                (block_id, 1, info.instructions, info.base_cycles, 0, refs)
             )
-        )
-        instr += branch.instructions
+        self._template_table = None
+        refs_per_iter = sum(spec.refs_per_exec for spec in specs)
         plan = _SpanPlan(
             chunks=tuple(chunks),
-            pattern=bulk_pattern(tuple(specs)) if col > 0 else None,
-            refs_per_iter=col,
-            instr_per_iter=instr,
+            pattern=bulk_pattern(tuple(specs)) if refs_per_iter else None,
+            refs_per_iter=refs_per_iter,
+            instr_per_iter=sum(chunk.instructions for chunk in chunks),
+            offset=offset,
         )
         self._span_cache[loop.loop_id] = plan
         return plan
@@ -542,26 +682,26 @@ class _DetailedConsumer(ExecutionConsumer):
     def on_iterations(self, loop: LLoop, iterations: int) -> None:
         if not self._batched:
             self._scalar_span(loop, iterations)
+            self._maybe_flush()
             return
         plan = self._span_plan(loop)
         if plan.pattern is None:
             self.instructions += plan.instr_per_iter * iterations
-            self._items.append((_ITEM_LOOP, plan.chunks, iterations))
+            self._spans.append((len(self._rows), plan, iterations))
         elif iterations * plan.refs_per_iter >= _MIN_BULK_REFS:
             metrics.counter("cmpsim.bulk_spans").inc()
             lines, writes = plan.pattern.generate(
                 self._streams, iterations
             )
             metrics.counter("cmpsim.bulk_refs").inc(int(lines.size))
-            start = self._pending_refs
             self._pending_lines.append(lines)
             self._pending_writes.append(writes)
-            self._pending_refs = start + int(lines.size)
+            self._pending_refs += int(lines.size)
             self.memory_refs += int(lines.size)
             self.instructions += plan.instr_per_iter * iterations
-            self._items.append((_ITEM_SPAN, plan, iterations, start))
+            self._spans.append((len(self._rows), plan, iterations))
         else:
-            # Tiny span: expand to per-block items (numpy fixed costs
+            # Tiny span: expand to per-block rows (numpy fixed costs
             # dominate bulk generation at this size).
             metrics.counter("cmpsim.scalar_spans").inc()
             for _ in range(iterations):
@@ -572,14 +712,9 @@ class _DetailedConsumer(ExecutionConsumer):
                         )
                     else:
                         self.instructions += chunk.instructions
-                        self._items.append(
-                            (
-                                _ITEM_PLAIN,
-                                chunk.block_id,
-                                1,
-                                chunk.instructions,
-                                chunk.base_cycles,
-                            )
+                        self._rows.append(
+                            (chunk.block_id, 1, chunk.instructions,
+                             chunk.base_cycles, 0, 0)
                         )
         self._maybe_flush()
 
@@ -593,7 +728,7 @@ class _DetailedConsumer(ExecutionConsumer):
         ]
         branch_id = profile.branch_block
         branch = self._info[branch_id]
-        trackers = self._trackers
+        rows = self._rows
         exec_with_refs = self._exec_with_refs
         for _ in range(iterations):
             for block_id, info in body:
@@ -601,57 +736,42 @@ class _DetailedConsumer(ExecutionConsumer):
                     exec_with_refs(block_id, info)
                 else:
                     self.instructions += info.instructions
-                    self.cycles += info.base_cycles
-                    for tracker in trackers:
-                        tracker.on_chunk(
-                            block_id, 1, info.instructions, info.base_cycles
-                        )
+                    rows.append(
+                        (block_id, 1, info.instructions, info.base_cycles,
+                         0, 0)
+                    )
             self.instructions += branch.instructions
-            self.cycles += branch.base_cycles
-            for tracker in trackers:
-                tracker.on_chunk(
-                    branch_id, 1, branch.instructions, branch.base_cycles
-                )
+            rows.append(
+                (branch_id, 1, branch.instructions, branch.base_cycles, 0, 0)
+            )
 
     def _maybe_flush(self) -> None:
         if (
             self._pending_refs >= _FLUSH_REFS
-            or len(self._items) >= _FLUSH_ITEMS
+            or len(self._rows) + len(self._spans) >= _FLUSH_ITEMS
         ):
             self._flush()
 
-    def _span_cycles(
-        self, plan: _SpanPlan, iterations: int, pen_slice: np.ndarray
-    ) -> np.ndarray:
-        """Per-(iteration, chunk) cycle matrix from a penalty slice."""
-        pen2d = pen_slice.reshape(iterations, plan.refs_per_iter)
-        cyc = np.empty((iterations, len(plan.chunks)), dtype=np.float64)
-        for index, chunk in enumerate(plan.chunks):
-            if chunk.col_end > chunk.col_start:
-                cyc[:, index] = chunk.base_cycles + pen2d[
-                    :, chunk.col_start : chunk.col_end
-                ].sum(axis=1)
-            else:
-                cyc[:, index] = chunk.base_cycles
-        return cyc
-
     def _flush(self) -> None:
-        """Replay all queued references and drain accounting in order.
+        """Replay the queued references, then attribute the queued
+        chunks: one column build, one cycle fold, one ``on_chunks``
+        call per tracker.
 
         Instructions and reference counts were added at queue time
-        (integer sums are order-free); float cycle accumulation and
-        tracker calls replay here in exact event order.
+        (integer sums are order-free).
         """
-        items = self._items
-        if not items:
+        rows, spans = self._rows, self._spans
+        if not rows and not spans:
             return
         metrics.counter("cmpsim.detailed_flushes").inc()
         # Flush sizes expose the deferred-replay batching behavior:
         # shrinking reference batches (or item-guard-triggered flushes)
         # mean the vectorized path is degrading toward scalar replay.
         metrics.histogram("cmpsim.flush_refs").observe(self._pending_refs)
-        metrics.histogram("cmpsim.flush_items").observe(len(items))
-        pen_all = dram_all = None
+        metrics.histogram("cmpsim.flush_items").observe(
+            len(rows) + len(spans)
+        )
+        serviced = None
         if self._pending_refs:
             if len(self._pending_lines) == 1:
                 lines = self._pending_lines[0]
@@ -660,152 +780,84 @@ class _DetailedConsumer(ExecutionConsumer):
                 lines = np.concatenate(self._pending_lines)
                 writes = np.concatenate(self._pending_writes)
             serviced = self._hierarchy.access_many(lines, writes)
-            pen_all = self._pen_np[serviced]
-            dram_all = serviced == 3
         self._pending_lines = []
         self._pending_writes = []
         self._pending_refs = 0
-        self._items = []
-        if self._trackers:
-            self._drain_tracked(items, pen_all, dram_all)
-        else:
-            self._drain_untracked(items, pen_all)
+        self._rows = []
+        self._spans = []
+        columns = self._columns(rows, spans, serviced)
+        self.cycles = _fold(self.cycles, columns[3])
+        for tracker in self._trackers:
+            tracker.on_chunks(*columns)
 
-    def _drain_untracked(
-        self, items: List[Tuple], pen_all: Optional[np.ndarray]
-    ) -> None:
-        """Fold all queued cycle values left-to-right in event order.
-
-        ``np.add.accumulate`` folds left-to-right, bit-identical to
-        the scalar per-chunk ``cycles +=`` sequence (np.sum is
-        pairwise and is NOT).
-        """
-        parts: List[np.ndarray] = [
-            np.array([self.cycles], dtype=np.float64)
-        ]
-        buf: List[float] = []
-        for item in items:
-            tag = item[0]
-            if tag == _ITEM_SPAN:
-                _, plan, iterations, start = item
-                end = start + iterations * plan.refs_per_iter
-                cyc = self._span_cycles(
-                    plan, iterations, pen_all[start:end]
-                )
-                if buf:
-                    parts.append(np.array(buf, dtype=np.float64))
-                    buf = []
-                parts.append(cyc.reshape(-1))
-            elif tag == _ITEM_BLOCK:
-                _, _, _, base_cycles, start, end = item
-                penalty = int(pen_all[start:end].sum()) if end > start else 0
-                buf.append(base_cycles + penalty)
-            elif tag == _ITEM_PLAIN:
-                buf.append(item[4])
-            else:  # _ITEM_LOOP
-                _, chunks, iterations = item
-                row = np.array(
-                    [chunk.base_cycles for chunk in chunks],
-                    dtype=np.float64,
-                )
-                if buf:
-                    parts.append(np.array(buf, dtype=np.float64))
-                    buf = []
-                parts.append(np.tile(row, iterations))
-        if buf:
-            parts.append(np.array(buf, dtype=np.float64))
-        addends = np.concatenate(parts)
-        self.cycles = float(np.add.accumulate(addends)[-1])
-
-    def _drain_tracked(
+    def _columns(
         self,
-        items: List[Tuple],
-        pen_all: Optional[np.ndarray],
-        dram_all: Optional[np.ndarray],
-    ) -> None:
-        """Replay the exact scalar accounting/on_chunk call sequence
-        with Python numbers; only reference generation and the cache
-        replay were batched."""
-        trackers = self._trackers
-        cycles_total = self.cycles
-        for item in items:
-            tag = item[0]
-            if tag == _ITEM_SPAN:
-                _, plan, iterations, start = item
-                end = start + iterations * plan.refs_per_iter
-                cyc_rows = self._span_cycles(
-                    plan, iterations, pen_all[start:end]
-                ).tolist()
-                dram2d = dram_all[start:end].reshape(
-                    iterations, plan.refs_per_iter
+        rows: List[Tuple],
+        spans: List[Tuple[int, _SpanPlan, int]],
+        serviced: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, ...]:
+        """The flush's chunk stream as columns, in event order: block
+        id, execs, instructions, cycles, DRAM accesses.
+
+        Rows and the span template are float64 tables (every integer in
+        them is far below 2**53, so exact). A span's rows are its
+        plan's template rows, repeated per iteration and placed after
+        the rows queued before it. References were queued in the same
+        order, so each row's references are the next ``refs`` of
+        ``serviced``: one ``np.add.reduceat`` over the rows' offsets
+        gives every row's penalty and DRAM sums (integer sums, exact).
+        """
+        table = np.array(rows, dtype=np.float64).reshape(-1, _ROW_COLUMNS)
+        if spans:
+            if self._template_table is None:
+                self._template_table = np.array(
+                    self._template, dtype=np.float64
                 )
-                dram_rows = {
-                    index: dram2d[
-                        :, chunk.col_start : chunk.col_end
-                    ].sum(axis=1).tolist()
-                    for index, chunk in enumerate(plan.chunks)
-                    if chunk.col_end > chunk.col_start
-                }
-                for t in range(iterations):
-                    row = cyc_rows[t]
-                    for index, chunk in enumerate(plan.chunks):
-                        value = row[index]
-                        cycles_total += value
-                        if chunk.has_specs:
-                            hits = (
-                                dram_rows[index][t]
-                                if index in dram_rows
-                                else 0
-                            )
-                            for tracker in trackers:
-                                tracker.on_chunk(
-                                    chunk.block_id,
-                                    1,
-                                    chunk.instructions,
-                                    value,
-                                    hits,
-                                )
-                        else:
-                            for tracker in trackers:
-                                tracker.on_chunk(
-                                    chunk.block_id,
-                                    1,
-                                    chunk.instructions,
-                                    value,
-                                )
-            elif tag == _ITEM_BLOCK:
-                _, block_id, instructions, base_cycles, start, end = item
-                if end > start:
-                    value = base_cycles + int(pen_all[start:end].sum())
-                    dram = int(dram_all[start:end].sum())
-                else:
-                    value = base_cycles
-                    dram = 0
-                cycles_total += value
-                for tracker in trackers:
-                    tracker.on_chunk(
-                        block_id, 1, instructions, value, dram
-                    )
-            elif tag == _ITEM_PLAIN:
-                _, block_id, execs, instructions, cycles = item
-                cycles_total += cycles
-                for tracker in trackers:
-                    tracker.on_chunk(
-                        block_id, execs, instructions, cycles
-                    )
-            else:  # _ITEM_LOOP
-                _, chunks, iterations = item
-                for _ in range(iterations):
-                    for chunk in chunks:
-                        cycles_total += chunk.base_cycles
-                        for tracker in trackers:
-                            tracker.on_chunk(
-                                chunk.block_id,
-                                1,
-                                chunk.instructions,
-                                chunk.base_cycles,
-                            )
-        self.cycles = cycles_total
+            pos, offset, width, iterations = np.array(
+                [
+                    (at, plan.offset, len(plan.chunks), count)
+                    for at, plan, count in spans
+                ],
+                dtype=np.int64,
+            ).T
+            per_span = width * iterations
+            span_ends = np.cumsum(per_span)
+            span_of = np.repeat(np.arange(len(spans)), per_span)
+            flat = np.arange(int(span_ends[-1]))
+            local = flat - (span_ends - per_span)[span_of]
+            order = np.empty(len(rows) + flat.size, dtype=np.int64)
+            order[pos[span_of] + flat] = len(rows) + (
+                offset[span_of] + local % width[span_of]
+            )
+            # Row i follows every span queued before it (at <= i).
+            before = np.concatenate(([0], span_ends))
+            row_index = np.arange(len(rows))
+            order[
+                row_index
+                + before[np.searchsorted(pos, row_index, side="right")]
+            ] = row_index
+            table = np.concatenate((table, self._template_table))[order]
+        block_ids = table[:, 0].astype(np.int64)
+        execs = table[:, 1].astype(np.int64)
+        instructions = table[:, 2].astype(np.int64)
+        cycles = np.ascontiguousarray(table[:, 3])
+        dram = np.ascontiguousarray(table[:, 4])
+        if serviced is not None:
+            refs = table[:, 5].astype(np.int64)
+            if int(refs.sum()) != serviced.size:
+                raise SimulationError(
+                    f"{self._binary.name}: {serviced.size} references "
+                    f"replayed but {int(refs.sum())} queued"
+                )
+            has_refs = refs > 0
+            starts = (np.cumsum(refs) - refs)[has_refs]
+            cycles[has_refs] += np.add.reduceat(
+                self._pen_np[serviced], starts
+            )
+            dram[has_refs] = np.add.reduceat(
+                serviced == 3, starts, dtype=np.int64
+            )
+        return block_ids, execs, instructions, cycles, dram
 
     def finish(self) -> None:
         self._flush()
@@ -955,8 +1007,9 @@ class CMPSim:
     ) -> FullRunResult:
         """Simulate the whole execution; trackers see every chunk.
 
-        ``batched=False`` forces the scalar reference-at-a-time path;
-        both paths produce bit-identical results (the equivalence tests
+        ``batched=False`` forces the scalar reference-at-a-time cache
+        path; its chunks reach the trackers through the same columns.
+        Both paths produce bit-identical results (the equivalence tests
         enforce this), so the flag exists for oracle checks and
         benchmarking. Every call counts once in ``cmpsim.full_runs``.
         """

@@ -12,7 +12,10 @@ kernel benchmarks can compare the two paths:
 * :class:`VLIBuilder` for ``replay_vli``;
 * :class:`IntervalInstructionCounter` for ``replay_interval_counts``;
 * :func:`recorded_stream` (an engine walk through
-  :class:`TraceRecorder`) for the structural stream builder.
+  :class:`TraceRecorder`) for the structural stream builder;
+* :class:`ScalarFLITracker` and :class:`ScalarVLITracker`, which
+  attribute one chunk per ``on_chunk`` call, for the trackers'
+  column-batch ``on_chunks`` (:func:`feed_chunks` hands rows to it).
 
 :func:`reference_fingerprint` is the one-shot key encoder that
 :func:`repro.runtime.fingerprint.fingerprint` must match byte for byte.
@@ -26,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cmpsim.simulator import FLITracker, IntervalStats, VLITracker
 from repro.compilation.binary import Binary, LLoop
 from repro.core.markers import ExecutionCoordinate, MarkerSet, MarkerTable
 from repro.errors import MappingError, ProfilingError
@@ -478,6 +482,137 @@ def scalar_interval_instructions(
     counter = IntervalInstructionCounter(binary, marker_set, boundaries)
     ExecutionEngine(binary, program_input).run(counter)
     return counter.interval_instructions
+
+
+class _ChunkAtATime:
+    """Replays each ``on_chunks`` batch as ``on_chunk`` calls, so an
+    oracle tracker can ride a full simulation too."""
+
+    def on_chunks(self, block_ids, execs, instructions, cycles, dram):
+        for row in zip(
+            block_ids.tolist(), execs.tolist(), instructions.tolist(),
+            cycles.tolist(), dram.tolist(),
+        ):
+            self.on_chunk(*row)
+
+
+class ScalarFLITracker(_ChunkAtATime, FLITracker):
+    """:class:`FLITracker` fed one chunk per call."""
+
+    def on_chunk(
+        self,
+        block_id: int,
+        execs: int,
+        instructions: int,
+        cycles: float,
+        dram: float = 0.0,
+    ) -> None:
+        self.total_instructions += instructions
+        self.total_cycles += cycles
+        self.total_dram += dram
+        if instructions <= 0:
+            # A chunk may carry cycles/DRAM traffic without committing
+            # instructions; conserve them in the open interval instead
+            # of silently dropping them.
+            self._cur.cycles += cycles
+            self._cur.dram_accesses += dram
+            return
+        remaining_instr = instructions
+        remaining_cycles = cycles
+        remaining_dram = dram
+        while remaining_instr > 0:
+            space = self._size - self._cur.instructions
+            if remaining_instr < space:
+                self._cur.instructions += remaining_instr
+                self._cur.cycles += remaining_cycles
+                self._cur.dram_accesses += remaining_dram
+                return
+            fraction = space / remaining_instr
+            share = remaining_cycles * fraction
+            dram_share = remaining_dram * fraction
+            self._cur.instructions += space
+            self._cur.cycles += share
+            self._cur.dram_accesses += dram_share
+            remaining_instr -= space
+            remaining_cycles -= share
+            remaining_dram -= dram_share
+            self.intervals.append(self._cur)
+            self._cur = IntervalStats()
+
+
+class ScalarVLITracker(_ChunkAtATime, VLITracker):
+    """:class:`VLITracker` fed one chunk per call."""
+
+    def __init__(
+        self,
+        table: MarkerTable,
+        boundaries: Sequence[ExecutionCoordinate],
+    ) -> None:
+        super().__init__(table, boundaries)
+        self._block_to_marker = table.block_to_marker()
+        self._marker_counts: Dict[int, int] = {}
+
+    def _close(self) -> None:
+        super()._close()
+        self._next += 1
+
+    def on_chunk(
+        self,
+        block_id: int,
+        execs: int,
+        instructions: int,
+        cycles: float,
+        dram: float = 0.0,
+    ) -> None:
+        self.total_instructions += instructions
+        self.total_cycles += cycles
+        self.total_dram += dram
+        marker_id = self._block_to_marker.get(block_id)
+        if marker_id is None:
+            self._cur.instructions += instructions
+            self._cur.cycles += cycles
+            self._cur.dram_accesses += dram
+            return
+        # Marker anchors are overhead blocks: uniform per execution and
+        # free of memory traffic (dram is always 0 here).
+        per_instr = instructions // execs
+        per_cycles = cycles / execs
+        count = self._marker_counts.get(marker_id, 0)
+        remaining = execs
+        while remaining > 0:
+            take = remaining
+            if self._next < len(self._boundaries):
+                expected_marker, expected_count = self._boundaries[self._next]
+                if (
+                    expected_marker == marker_id
+                    and count < expected_count <= count + remaining
+                ):
+                    take = expected_count - count
+            self._cur.instructions += per_instr * take
+            self._cur.cycles += per_cycles * take
+            count += take
+            remaining -= take
+            if self._next < len(self._boundaries):
+                expected_marker, expected_count = self._boundaries[self._next]
+                if expected_marker == marker_id and expected_count == count:
+                    self._close()
+        self._marker_counts[marker_id] = count
+
+
+def feed_chunks(tracker, rows: Sequence[Sequence[float]]) -> None:
+    """Hand ``(block_id, execs, instructions, cycles[, dram])`` rows to
+    a tracker as one ``on_chunks`` batch of columns."""
+    rows = [tuple(row) + (0.0,) * (5 - len(row)) for row in rows]
+    block_ids, execs, instructions, cycles, dram = (
+        zip(*rows) if rows else ((),) * 5
+    )
+    tracker.on_chunks(
+        np.array(block_ids, dtype=np.int64),
+        np.array(execs, dtype=np.int64),
+        np.array(instructions, dtype=np.int64),
+        np.array(cycles, dtype=np.float64),
+        np.array(dram, dtype=np.float64),
+    )
 
 
 def reference_fingerprint(*objects):

@@ -5,8 +5,11 @@ Each test here fails on the pre-fix code:
 * ``_lloyd`` reseeded two simultaneously-empty clusters on the same
   farthest point because the distance matrix went stale between
   repairs, leaving one cluster empty;
-* ``FLITracker.on_chunk`` silently dropped the cycles/DRAM of a chunk
-  with zero instructions;
+* ``FLITracker`` silently dropped the cycles/DRAM of a chunk with zero
+  instructions (chunks now reach it in batches, see
+  :func:`tests.oracles.feed_chunks`);
+* the trackers' ``finish`` checked only cycles, so lost or
+  double-counted instructions and DRAM accesses went unnoticed;
 * ``IntervalInstructionCounter.on_block`` (now the scalar oracle in
   :mod:`tests.oracles`) looped once per execution on the hottest path
   — replaced by bulk arithmetic that must keep the exact boundary
@@ -18,13 +21,15 @@ import random
 import numpy as np
 import pytest
 
-from repro.cmpsim.simulator import FLITracker
+from repro.cmpsim.simulator import FLITracker, VLITracker
 from repro.compilation.binary import BlockKind, LoweredBlock
 from repro.core.markers import MarkerSet, MarkerTable
 from repro.errors import ClusteringError
 from repro.simpoint.kmeans import _lloyd, weighted_kmeans
 
-from tests.oracles import IntervalInstructionCounter
+from repro.errors import SimulationError
+
+from tests.oracles import IntervalInstructionCounter, feed_chunks
 
 
 class _StubBinary:
@@ -121,9 +126,11 @@ class TestEmptyClusterRepair:
 class TestFLITrackerZeroInstructionChunks:
     def test_cycles_of_empty_chunk_are_conserved(self):
         tracker = FLITracker(100)
-        tracker.on_chunk(0, 1, 60, 90.0)
-        tracker.on_chunk(1, 1, 0, 7.0, dram=2.0)  # pure-stall chunk
-        tracker.on_chunk(0, 1, 40, 50.0)
+        feed_chunks(tracker, [
+            (0, 1, 60, 90.0),
+            (1, 1, 0, 7.0, 2.0),  # pure-stall chunk
+            (0, 1, 40, 50.0),
+        ])
         tracker.finish()
         assert sum(i.instructions for i in tracker.intervals) == 100
         assert sum(i.cycles for i in tracker.intervals) == pytest.approx(
@@ -135,8 +142,7 @@ class TestFLITrackerZeroInstructionChunks:
 
     def test_trailing_empty_chunk_not_dropped(self):
         tracker = FLITracker(50)
-        tracker.on_chunk(0, 1, 50, 50.0)
-        tracker.on_chunk(1, 1, 0, 3.0)
+        feed_chunks(tracker, [(0, 1, 50, 50.0), (1, 1, 0, 3.0)])
         tracker.finish()
         assert sum(i.cycles for i in tracker.intervals) == pytest.approx(
             53.0
@@ -144,10 +150,66 @@ class TestFLITrackerZeroInstructionChunks:
 
     def test_finish_asserts_cycle_conservation(self):
         tracker = FLITracker(10)
-        tracker.on_chunk(0, 1, 5, 5.0)
+        feed_chunks(tracker, [(0, 1, 5, 5.0)])
         tracker.total_cycles += 100.0  # simulate lost accounting
-        from repro.errors import SimulationError
+        with pytest.raises(SimulationError, match="lost cycles"):
+            tracker.finish()
 
+
+def _closed_fli():
+    """An FLI tracker with two closed intervals (plus an open one)."""
+    tracker = FLITracker(10)
+    feed_chunks(tracker, [(0, 1, 12, 30.0, 3.0), (1, 1, 13, 20.0, 1.0)])
+    assert len(tracker.intervals) == 2
+    return tracker
+
+
+def _closed_vli():
+    """A VLI tracker whose first interval closed at marker 0's 2nd
+    execution (block 10 anchors marker 0)."""
+    table = MarkerTable(binary_name="tamper/32u", anchor_blocks={0: 10})
+    tracker = VLITracker(table, [(0, 2)])
+    feed_chunks(tracker, [
+        (1, 1, 40, 55.0, 4.0),
+        (10, 3, 6, 9.0),
+        (2, 1, 25, 30.0, 2.0),
+    ])
+    assert len(tracker.intervals) == 1
+    return tracker
+
+
+class TestTrackerConservationChecks:
+    """``finish`` raises when a closed interval's instructions or DRAM
+    accesses no longer add up to what the tracker saw."""
+
+    @pytest.mark.parametrize("make", [_closed_fli, _closed_vli])
+    def test_untampered_tracker_finishes(self, make):
+        make().finish()
+
+    @pytest.mark.parametrize("make", [_closed_fli, _closed_vli])
+    def test_lost_instructions_raise(self, make):
+        tracker = make()
+        tracker.intervals[0].instructions -= 1
+        with pytest.raises(SimulationError, match="lost instructions"):
+            tracker.finish()
+
+    @pytest.mark.parametrize("make", [_closed_fli, _closed_vli])
+    def test_double_counted_instructions_raise(self, make):
+        tracker = make()
+        tracker.intervals[0].instructions += 1
+        with pytest.raises(SimulationError, match="lost instructions"):
+            tracker.finish()
+
+    @pytest.mark.parametrize("make", [_closed_fli, _closed_vli])
+    def test_lost_dram_raises(self, make):
+        tracker = make()
+        tracker.intervals[0].dram_accesses += 1.0
+        with pytest.raises(SimulationError, match="lost DRAM accesses"):
+            tracker.finish()
+
+    def test_vli_cycle_check_still_raises(self):
+        tracker = _closed_vli()
+        tracker.intervals[0].cycles += 100.0
         with pytest.raises(SimulationError, match="lost cycles"):
             tracker.finish()
 

@@ -31,12 +31,32 @@ from repro.cmpsim.memory import (
     bulk_pattern,
     generate_refs,
 )
-from repro.cmpsim.simulator import CMPSim, FLITracker
+from repro.cmpsim.simulator import CMPSim, FLITracker, VLITracker
 from repro.compilation.binary import AccessSpec
 from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import TARGET_32O, TARGET_32U
-from repro.programs.behaviors import AccessKind
+from repro.core.mapping import interval_boundaries
+from repro.core.matching import find_mappable_points
+from repro.core.vli import collect_vli_bbvs
+from repro.profiling.callbranch import collect_call_branch_profile
+from repro.observability import metrics
+from repro.programs.behaviors import (
+    AccessKind,
+    random_access,
+    stack_local,
+    streaming,
+)
+from repro.programs.ir import (
+    Call,
+    Compute,
+    Loop,
+    Procedure,
+    Program,
+    finalize_program,
+)
 from repro.programs.suite import build_benchmark
+
+from tests.oracles import ScalarFLITracker, ScalarVLITracker
 
 
 def stream_state(state):
@@ -310,12 +330,118 @@ def suite_binaries():
     return binaries
 
 
+@pytest.fixture(scope="module")
+def marker_sets(suite_binaries):
+    """Each program's marker set over its 32u and 32o binaries."""
+    sets = {}
+    for name, binaries in suite_binaries.items():
+        profiles = [
+            (binary, collect_call_branch_profile(binary))
+            for binary in binaries.values()
+        ]
+        sets[name], _ = find_mappable_points(profiles)
+    return sets
+
+
+def vli_tracker(
+    suite_binaries, marker_sets, program, target, size, kind=VLITracker
+):
+    """A VLI tracker for ``target`` cutting where the 32u binary's
+    ``size`` VLI profile cuts (mapped, so cross-binary on 32o)."""
+    marker_set = marker_sets[program]
+    primary = suite_binaries[program][TARGET_32U]
+    vlis = collect_vli_bbvs(primary, marker_set, size)
+    table = marker_set.table_for(suite_binaries[program][target].name)
+    return kind(table, interval_boundaries(vlis))
+
+
+def assert_same_intervals(scalar_trackers, batched_trackers):
+    for scalar, batched in zip(scalar_trackers, batched_trackers):
+        assert len(scalar.intervals) == len(batched.intervals)
+        for left, right in zip(scalar.intervals, batched.intervals):
+            assert left.instructions == right.instructions
+            assert left.cycles == right.cycles
+            assert left.dram_accesses == right.dram_accesses
+
+
 FULL_RUN_CASES = [
     ("art", TARGET_32U, TABLE1_CONFIG, "art-32u-table1"),
     ("art", TARGET_32U, PREFETCH_CONFIG, "art-32u-prefetch"),
     ("art", TARGET_32O, TABLE1_CONFIG, "art-32o-table1"),
     ("mcf", TARGET_32U, BIG_LLC_CONFIG, "mcf-32u-big-llc"),
 ]
+
+
+def _queue_shapes_program():
+    """A loop without memory traffic, a 3-reference loop (below the
+    bulk-generation threshold) and a bulk loop with a reference-free
+    block, called from a loop that also runs a reference-bearing
+    block."""
+    quiet = Procedure(
+        name="quiet",
+        body=(
+            Loop("quiet_loop", trips=40,
+                 body=(Compute("quiet_c", instructions=30),),
+                 unrollable=False, splittable=False),
+        ),
+        inlinable=False,
+    )
+    tiny = Procedure(
+        name="tiny",
+        body=(
+            Loop("tiny_loop", trips=3,
+                 body=(Compute("tiny_c", instructions=20,
+                               behavior=stack_local(1)),),
+                 unrollable=False, splittable=False),
+        ),
+        inlinable=False,
+    )
+    bulk = Procedure(
+        name="bulk",
+        body=(
+            Loop("bulk_loop", trips=200,
+                 body=(
+                     Compute("bulk_c", instructions=50,
+                             behavior=streaming(64 * 1024, 4, stride=16)),
+                     Compute("bulk_q", instructions=10),
+                 ),
+                 unrollable=True, splittable=False),
+        ),
+        inlinable=False,
+    )
+    main = Procedure(
+        name="main",
+        body=(
+            Compute("init", instructions=80),
+            Loop(
+                "main_loop",
+                trips=6,
+                body=(
+                    Call("m_quiet", callee="quiet"),
+                    Call("m_tiny", callee="tiny"),
+                    Call("m_bulk", callee="bulk"),
+                    Compute("m_local", instructions=40,
+                            behavior=random_access(256 * 1024, 2)),
+                ),
+                unrollable=False,
+                splittable=False,
+            ),
+        ),
+        inlinable=False,
+    )
+    return finalize_program(
+        Program(
+            name="queue-shapes",
+            procedures={
+                proc.name: proc for proc in (main, quiet, tiny, bulk)
+            },
+            entry="main",
+        )
+    )
+
+
+#: Interval sizes of a three-size sweep, all trackers on one run.
+SWEEP_SIZES = (50_000, 100_000, 200_000)
 
 
 class TestFullRunEquivalence:
@@ -325,23 +451,92 @@ class TestFullRunEquivalence:
         ids=[case_id for _, _, _, case_id in FULL_RUN_CASES],
     )
     def test_batched_run_is_bit_identical(
-        self, suite_binaries, program, target, config
+        self, suite_binaries, marker_sets, program, target, config
     ):
         """The whole pipeline: SimulationStats, HierarchyStats, and
-        every per-interval FLI value must match the scalar oracle."""
+        every per-interval FLI and VLI value must match the scalar
+        oracle."""
         binary = suite_binaries[program][target]
         sim = CMPSim(binary, config)
-        scalar_fli = FLITracker(100_000)
-        batched_fli = FLITracker(100_000)
-        scalar = sim.run_full(trackers=(scalar_fli,), batched=False)
-        batched = sim.run_full(trackers=(batched_fli,), batched=True)
+        scalar_trackers, batched_trackers = (
+            (
+                FLITracker(100_000),
+                vli_tracker(
+                    suite_binaries, marker_sets, program, target, 100_000
+                ),
+            )
+            for _ in range(2)
+        )
+        scalar = sim.run_full(trackers=scalar_trackers, batched=False)
+        batched = sim.run_full(trackers=batched_trackers, batched=True)
         assert scalar.stats == batched.stats
         assert scalar.hierarchy == batched.hierarchy
-        assert len(scalar_fli.intervals) == len(batched_fli.intervals)
-        for left, right in zip(scalar_fli.intervals, batched_fli.intervals):
-            assert left.instructions == right.instructions
-            assert left.cycles == right.cycles
-            assert left.dram_accesses == right.dram_accesses
+        assert len(batched_trackers[1].intervals) > 1
+        assert_same_intervals(scalar_trackers, batched_trackers)
+
+    @pytest.mark.parametrize(
+        "target", [TARGET_32U, TARGET_32O], ids=["32u", "32o"]
+    )
+    def test_sweep_tracker_set_is_bit_identical(
+        self, suite_binaries, marker_sets, target
+    ):
+        """Three FLI and three VLI trackers on one run, the shape of an
+        interval-size sweep; the scalar run's trackers are the
+        chunk-at-a-time oracles."""
+        sim = CMPSim(suite_binaries["art"][target])
+        scalar_trackers, batched_trackers = (
+            tuple(fli(size) for size in SWEEP_SIZES)
+            + tuple(
+                vli_tracker(
+                    suite_binaries, marker_sets, "art", target, size, vli
+                )
+                for size in SWEEP_SIZES
+            )
+            for fli, vli in (
+                (ScalarFLITracker, ScalarVLITracker),
+                (FLITracker, VLITracker),
+            )
+        )
+        scalar = sim.run_full(trackers=scalar_trackers, batched=False)
+        batched = sim.run_full(trackers=batched_trackers, batched=True)
+        assert scalar.stats == batched.stats
+        assert_same_intervals(scalar_trackers, batched_trackers)
+
+    def test_every_queue_shape_is_bit_identical(self):
+        """A program built to queue every kind of chunk: plain blocks,
+        reference-bearing blocks, a loop that touches no memory, a span
+        too small to generate in bulk and a bulk span with a
+        reference-free block in its body."""
+        binaries = compile_standard_binaries(
+            _queue_shapes_program(), (TARGET_32U, TARGET_32O)
+        )
+        profiles = [
+            (binary, collect_call_branch_profile(binary))
+            for binary in binaries.values()
+        ]
+        marker_set, _ = find_mappable_points(profiles)
+        vlis = collect_vli_bbvs(binaries[TARGET_32U], marker_set, 5_000)
+        for binary in binaries.values():
+            table = marker_set.table_for(binary.name)
+            scalar_trackers, batched_trackers = (
+                (fli(5_000), fli(7_919),
+                 vli(table, interval_boundaries(vlis)))
+                for fli, vli in (
+                    (ScalarFLITracker, ScalarVLITracker),
+                    (FLITracker, VLITracker),
+                )
+            )
+            sim = CMPSim(binary)
+            scalar = sim.run_full(trackers=scalar_trackers, batched=False)
+            with metrics.scoped_registry() as registry:
+                batched = sim.run_full(trackers=batched_trackers)
+            counters = registry.snapshot()["counters"]
+            assert counters["cmpsim.bulk_spans"] > 0
+            assert counters["cmpsim.scalar_spans"] > 0
+            assert scalar.stats == batched.stats
+            assert scalar.hierarchy == batched.hierarchy
+            assert len(batched_trackers[2].intervals) > 2
+            assert_same_intervals(scalar_trackers, batched_trackers)
 
     def test_untracked_run_is_bit_identical(self, suite_binaries):
         """The no-tracker cycle fold (np.add.accumulate) is exact."""

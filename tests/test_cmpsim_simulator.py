@@ -17,6 +17,7 @@ from repro.execution.engine import run_binary
 from repro.profiling.callbranch import collect_call_branch_profile
 
 from tests.conftest import MICRO_INTERVAL
+from tests.oracles import feed_chunks
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +163,7 @@ class TestVLITracker:
         self, micro_binary_32u, marker_set
     ):
         vli = VLITracker(marker_set.table_for(micro_binary_32u.name), [])
-        vli.on_chunk(-1, 1, 5, 5.0)
+        feed_chunks(vli, [(-1, 1, 5, 5.0)])
         vli.total_cycles += 100.0  # simulate lost accounting
         with pytest.raises(SimulationError, match="lost cycles"):
             vli.finish()

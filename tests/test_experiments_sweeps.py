@@ -1,5 +1,6 @@
 """Tests for repro.experiments.sweeps."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -150,3 +151,44 @@ class TestOneSimulationPerBinary:
                 "art",
                 [_FAST_CONFIG, replace(_FAST_CONFIG, primary_index=1)],
             )
+
+
+#: SHA-256 of every interval of a cold two-size art run (instructions,
+#: ``float.hex`` of cycles and DRAM accesses, per binary, FLI and VLI).
+#: Interval attribution must stay bit-identical; a change that moves a
+#: single float changes this digest.
+_INTERVAL_DIGEST = (
+    "3b22a6a3fdb185149d79eddd81e41b7a"
+    "bd9e202221002c351259cafeae314244"
+)
+
+
+class TestGoldenIntervalDigest:
+    def test_interval_tables_are_pinned(self, tmp_path):
+        clear_cache()
+        with runtime_session(cache=ProfileCache(tmp_path)):
+            runs = run_benchmark_sizes(
+                "art",
+                [replace(_FAST_CONFIG, interval_size=size) for size in _SIZES],
+                jobs=1,
+            )
+        clear_cache()
+        digest = hashlib.sha256()
+        for run in runs:
+            for label in sorted(run.outcomes):
+                outcome = run.outcomes[label]
+                for kind, intervals in (
+                    ("fli", outcome.fli_intervals),
+                    ("vli", outcome.vli_intervals),
+                ):
+                    digest.update(
+                        f"{run.config.interval_size} {label} {kind} "
+                        f"{len(intervals)}\n".encode()
+                    )
+                    for interval in intervals:
+                        digest.update(
+                            f"{interval.instructions} "
+                            f"{interval.cycles.hex()} "
+                            f"{interval.dram_accesses.hex()}\n".encode()
+                        )
+        assert digest.hexdigest() == _INTERVAL_DIGEST

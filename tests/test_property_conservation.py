@@ -1,11 +1,12 @@
 """Property tests: tracker conservation laws and weight invariants.
 
-The interval trackers see execution as an arbitrary stream of
-``on_chunk`` calls — chunk granularity is a simulator implementation
-detail, so no chunking may create or destroy instructions, cycles, or
-DRAM accesses. These properties drive the trackers directly with
-hypothesis-generated streams (including zero-instruction chunks, the
-subject of a past accounting bug) rather than through full simulations.
+The interval trackers see execution as an arbitrary stream of chunks
+(handed over in ``on_chunks`` batches) — chunk granularity is a
+simulator implementation detail, so no chunking may create or destroy
+instructions, cycles, or DRAM accesses. These properties drive the
+trackers directly with hypothesis-generated streams (including
+zero-instruction chunks, the subject of a past accounting bug) rather
+than through full simulations.
 """
 
 import math
@@ -19,6 +20,8 @@ from repro.core.markers import MarkerTable
 from repro.core.weights import phase_weights
 from repro.errors import MappingError
 from repro.runtime import ProfileCache
+
+from tests.oracles import feed_chunks
 
 _SETTINGS = settings(deadline=None, max_examples=75)
 
@@ -56,8 +59,7 @@ class TestFLIConservation:
         self, chunks, interval_size
     ):
         tracker = FLITracker(interval_size)
-        for block_id, execs, instructions, cycles, dram in chunks:
-            tracker.on_chunk(block_id, execs, instructions, cycles, dram)
+        feed_chunks(tracker, chunks)
         tracker.finish()  # raises SimulationError if cycles were lost
         intervals = tracker.intervals
         assert sum(i.instructions for i in intervals) == sum(
@@ -85,14 +87,16 @@ class TestFLIConservation:
         (instruction counts; cycles prorate identically by share)."""
         coarse = FLITracker(1_000)
         fine = FLITracker(1_000)
+        feed_chunks(coarse, chunks)
+        halves = []
         for block_id, execs, instructions, cycles, dram in chunks:
-            coarse.on_chunk(block_id, execs, instructions, cycles, dram)
             # Same totals delivered in two halves.
             lo = instructions // 2
-            fine.on_chunk(block_id, execs, lo, cycles / 2, dram / 2)
-            fine.on_chunk(
-                block_id, execs, instructions - lo, cycles / 2, dram / 2
+            halves.append((block_id, execs, lo, cycles / 2, dram / 2))
+            halves.append(
+                (block_id, execs, instructions - lo, cycles / 2, dram / 2)
             )
+        feed_chunks(fine, halves)
         coarse.finish()
         fine.finish()
         assert [i.instructions for i in coarse.intervals] == [
@@ -156,8 +160,7 @@ class TestVLIConservation:
     def test_arbitrary_chunkings_conserve_everything(self, stream):
         table, chunks, boundaries = stream
         tracker = VLITracker(table, boundaries)
-        for chunk in chunks:
-            tracker.on_chunk(*chunk)
+        feed_chunks(tracker, chunks)
         tracker.finish()
         intervals = tracker.intervals
         assert len(intervals) == len(boundaries) + 1
